@@ -46,7 +46,7 @@ enum class YieldPoint : int
     ResizePostFreeze,         //!< resize: frozen bit set, quiesce next
     ResizePreDecommit,        //!< resize: epochs synchronized, decommit next
     LeasePreClaim,            //!< lease: core-local read done, span FAA next
-    LeasePreCloseConfirm,     //!< leaseClose: remainder dummied, confirm next
+    LeasePreCloseConfirm,     //!< leaseClose: span untouched, owner CAS next
     ControlPreSwap,           //!< applyControl: snapshot built, pointer swap next
     Count
 };

@@ -79,18 +79,18 @@ ControlPlane::ControlPlane(Tracer &tracer_,
             readEntry(page->entries[(v - 1) % kControlHistory], v, c,
                       applied)) {
             publish(c, v, /*write_page=*/false);
-            lastSeenPageVersion = v;
+            lastSeenPageVersion.store(v, std::memory_order_release);
             return;
         }
-        lastSeenPageVersion = v;
+        lastSeenPageVersion.store(v, std::memory_order_release);
     }
     uint64_t version = 1;
-    if (page != nullptr && owner_init) {
+    if (page != nullptr && owner_init)
         version = page->publishCount.fetch_add(
                       1, std::memory_order_acq_rel) + 1;
-        lastSeenPageVersion = version;
-    }
     publish(initial, version, /*write_page=*/page != nullptr);
+    if (page != nullptr && owner_init)
+        lastSeenPageVersion.store(version, std::memory_order_release);
 }
 
 ControlPlane::~ControlPlane()
@@ -126,14 +126,14 @@ ControlPlane::apply(const ControlConfig &next)
         return st;
     std::scoped_lock lock(mu);
     uint64_t version;
-    if (page != nullptr) {
+    if (page != nullptr)
         version = page->publishCount.fetch_add(
                       1, std::memory_order_acq_rel) + 1;
-        lastSeenPageVersion = version;
-    } else {
+    else
         version = snaps.empty() ? 1 : snaps.back()->version + 1;
-    }
     publish(next, version, /*write_page=*/page != nullptr);
+    // Only now is this version what the tracer serves (see poll()).
+    lastSeenPageVersion.store(version, std::memory_order_release);
     return Status();
 }
 
@@ -146,19 +146,24 @@ ControlPlane::poll()
     // renewal cadence goes to watching the control page.
     PhaseProbe probe(tracer.activeProfiler(),
                      ProfilePhase::ControlPoll);
-    // The whole no-change path: one relaxed load and a compare.
+    // The whole no-change path: two loads and a compare, no lock —
+    // every producer thread polls at lease renewal. The acquire pairs
+    // with the release store made after the snapshot swap, so a
+    // version seen here is already the one this tracer serves.
     const uint64_t v =
         page->publishCount.load(std::memory_order_relaxed);
-    std::scoped_lock lock(mu);
-    if (v <= lastSeenPageVersion)
+    if (v <= lastSeenPageVersion.load(std::memory_order_acquire))
         return false;
+    std::scoped_lock lock(mu);
+    if (v <= lastSeenPageVersion.load(std::memory_order_relaxed))
+        return false;  // another poller adopted it while we waited
     ControlConfig c;
     uint64_t applied = 0;
     if (!readEntry(page->entries[(v - 1) % kControlHistory], v, c,
                    applied))
         return false;  // mid-write or lapped; converge on a later poll
-    lastSeenPageVersion = v;
     publish(c, v, /*write_page=*/false);
+    lastSeenPageVersion.store(v, std::memory_order_release);
     return true;
 }
 

@@ -12,7 +12,7 @@
  *    (control/control_file.h) and call the same apply();
  *  - cross-process: apply() on a shared arena also serializes the
  *    snapshot into the arena's ControlPage; every other attachment
- *    picks it up via poll() (one relaxed load of the publish counter
+ *    picks it up via poll() (a lock-free load of the publish counter
  *    per poll, called from lease-renewal cadence, never per event).
  *
  * Snapshot lifetime: the plane keeps every snapshot it ever published
@@ -33,6 +33,7 @@
 #ifndef BTRACE_CONTROL_CONTROL_PLANE_H
 #define BTRACE_CONTROL_CONTROL_PLANE_H
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -81,9 +82,9 @@ class ControlPlane
 
     /**
      * Pick up a version another attachment published to the arena
-     * page. One relaxed load when nothing changed. Returns true when
-     * a new version was adopted. Call at poll cadence (lease renewal,
-     * drain ticks), never per event.
+     * page. Two loads and a compare, no lock, when nothing changed.
+     * Returns true when a new version was adopted. Call at poll
+     * cadence (lease renewal, drain ticks), never per event.
      */
     bool poll();
 
@@ -117,7 +118,13 @@ class ControlPlane
 
     mutable std::mutex mu;
     std::vector<std::unique_ptr<ControlSnapshot>> snaps;
-    uint64_t lastSeenPageVersion = 0;
+    /**
+     * Newest page version this attachment serves. Written under mu and
+     * only after publish() swapped the snapshot in, so the lock-free
+     * check in poll() never skips a version the tracer is not yet
+     * serving.
+     */
+    std::atomic<uint64_t> lastSeenPageVersion{0};
     ControlDecisionState state;
 };
 

@@ -12,7 +12,7 @@
  *
  * Fast-path contract (the same bar as the journal and observer
  * planes): when every knob is at its default the published pointer is
- * *null*, so the leased fast path pays exactly one relaxed load and a
+ * *null*, so the leased fast path pays exactly one acquire load and a
  * predicted branch, and adds zero shared RMWs — the sharedRmws
  * counter is asserted byte-identical with and without an attached
  * plane (tests/control/ControlContract). With non-default controls,

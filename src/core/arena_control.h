@@ -22,7 +22,7 @@
  *    a crashed attachment.
  *  - the *lease-owner table* (LeaseOwnerRecord): one record per open
  *    lease, robust-futex-style. A granted lease stamps pid + attach
- *    generation + a monotonic lease sequence before first use; any
+ *    generation + the attachment's lease sequence before first use; any
  *    attachment can later prove the owner dead (registry slot gone,
  *    or kill(pid, 0) == ESRCH) and reclaim the leased span through
  *    the graveyard-close path (sweeper.cc).
@@ -70,15 +70,18 @@ struct alignas(cacheLineSize) ProducerSlot
  *                                                       proved dead)
  *
  * The producer claims a Free record with one CAS, fills the stamp
- * fields, and publishes Active with a release store. leaseClose moves
- * Active -> Closing immediately before the bulk Confirmed fetch_add
- * and frees the record after it, so a sweeper never reclaims (and
- * never double-confirms) a span whose publish already landed: the
- * sweeper only ever claims records still in Active. Death inside the
- * few-instruction Closing window leaves a record the sweeper frees
- * without touching the block (the block is sacrificed, exactly like a
- * pre-existing untracked death); see DESIGN.md §11 for the safety
- * argument.
+ * fields, and publishes Active with a release store. leaseClose runs,
+ * in order: the LeasePreCloseConfirm yield point, the Active ->
+ * Closing CAS, the unused tail's give-back CAS or dummy fill (a
+ * give-back of a claim that reached the block end also re-checks the
+ * core word and may close the block), the bulk Confirmed fetch_add,
+ * and the release store to Free. So a sweeper never reclaims (and
+ * never double-confirms, nor dummy-fills a handed-back tail of) a
+ * span whose close has begun: it only ever claims records still in
+ * Active. Death inside the Closing window — the give-back and the
+ * confirm — leaves a record the sweeper frees without touching the
+ * block (the block is sacrificed, exactly like a pre-existing
+ * untracked death); see DESIGN.md §11 for the safety argument.
  */
 struct alignas(cacheLineSize) LeaseOwnerRecord
 {
@@ -87,13 +90,14 @@ struct alignas(cacheLineSize) LeaseOwnerRecord
         Free = 0,
         Claimed = 1,    //!< CAS won, stamp fields being written
         Active = 2,     //!< lease open; stamp fields valid
-        Closing = 3,    //!< owner is publishing its confirm
+        Closing = 3,    //!< owner is returning its tail, confirming
         Reclaiming = 4, //!< a sweeper proved the owner dead
     };
 
     std::atomic<uint32_t> state{Free};
     std::atomic<uint32_t> pid{0};
     std::atomic<uint64_t> attachGen{0};
+    /** The owning attachment's lease count; unique with attachGen. */
     std::atomic<uint64_t> leaseSeq{0};
     /** Metadata slot index and round the lease's span belongs to. */
     std::atomic<uint32_t> slot{0};
@@ -129,7 +133,10 @@ struct alignas(cacheLineSize) ControlHeader
      */
     std::atomic<uint32_t> ready{0};
     uint32_t reserved0 = 0;
-    /** Monotonic lease sequence; stamps LeaseOwnerRecord::leaseSeq. */
+    /**
+     * Unused since lease records are stamped from a per-attachment
+     * count; kept so the v2 layout does not change.
+     */
     std::atomic<uint64_t> leaseSeq{0};
     /** Dead-producer sweeps completed (any attachment). */
     std::atomic<uint64_t> sweeps{0};

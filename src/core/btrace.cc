@@ -589,7 +589,8 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                     std::min<uint64_t>(want, cap - old.pos));
                 const uint64_t phys =
                     local.pos % (numActive * local.ratio);
-                ctrs.leases.fetch_add(1, std::memory_order_relaxed);
+                const uint64_t seq =
+                    ctrs.leases.fetch_add(1, std::memory_order_relaxed);
                 ctrs.leasedOutstanding.fetch_add(
                     grant, std::memory_order_relaxed);
                 journalEmit(JournalEventKind::LeaseGrant, core,
@@ -604,10 +605,12 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
                 if (shared)
                     handle.aux = registerLeaseOwner(
                         static_cast<uint32_t>(meta_idx), exp_rnd,
-                        old.pos, grant, local.pos);
+                        old.pos, grant, local.pos, seq + 1);
+                // The claim's own word and length let close() hand an
+                // unused tail back while nothing has reserved after it.
                 return grantLease(*this, core, thread,
                                   blockData(phys) + old.pos, grant,
-                                  handle, cost);
+                                  handle, cost, claimed, want);
             }
 
             if (old.pos < cap) {
@@ -680,33 +683,30 @@ BTrace::leaseClose(Lease &l)
 {
     const LeaseView v = viewOf(l);
     const uint32_t remainder = v.len - v.used;
-    const uint32_t publish = v.confirmedBytes + remainder;
     double cost = 0.0;
     CostProfiler *const pf = activeProfiler();
     LeaseOwnerRecord *rec = nullptr;
+    uint32_t filled = 0;  // remainder returned as a dummy entry
     {
         // Lease-renew-phase probe (DESIGN.md §14): the close-side
-        // overhead a renewal pays — remainder dummy fill plus the
-        // owner-record CAS. The bulk confirm FAA lands in the publish
-        // phase below, so the two buckets never overlap.
+        // overhead a renewal pays — owner-record CAS, then the tail
+        // give-back CAS or the remainder dummy fill. The bulk confirm
+        // FAA lands in the publish phase below, so the two buckets
+        // never overlap.
         PhaseProbe renewProbe(pf, ProfilePhase::LeaseRenew);
-        if (remainder > 0) {
-            // Return the unused span as one dummy entry so every
-            // leased byte is confirmed exactly once (DESIGN.md §3).
-            writeDummy(v.base + v.used, remainder);
-            cost += costs.copy(8);
-        }
-        // Critical window: the remainder dummy is written but the
-        // bulk confirm has not landed; the block stays incomplete and
-        // must be skipped, never re-locked, until the fetch_add
+
+        // Critical window: nothing of the close has happened yet — the
+        // whole span is claimed and unconfirmed, and the block stays
+        // incomplete (skipped, never re-locked) until the bulk confirm
         // below. A producer killed here is still Active in the owner
         // table, so a sweeper reclaims the whole span cleanly.
         BTRACE_TEST_YIELD(LeasePreCloseConfirm);
 
         // Owner-record close protocol (DESIGN.md §11): Active ->
-        // Closing immediately before the bulk confirm, Free after it.
-        // A sweeper only ever claims Active records, so once our CAS
-        // lands it can never confirm this span a second time. Not
+        // Closing before anything of the span changes hands, Free
+        // after the bulk confirm. A sweeper only ever claims Active
+        // records, so once our CAS lands it can never confirm this
+        // span a second time, nor dummy-fill a tail we hand back. Not
         // charged to sharedRmws: robustness plane, never executed on
         // the private backend.
         if (shared && v.handle.aux != 0) {
@@ -722,14 +722,25 @@ BTrace::leaseClose(Lease &l)
                 // Publishing too would double-confirm, so drop ours;
                 // keep the level counter and the entry tally sane.
                 ctrs.leasedOutstanding.fetch_sub(
-                    publish, std::memory_order_relaxed);
+                    v.confirmedBytes + remainder,
+                    std::memory_order_relaxed);
                 ctrs.leaseEntries.fetch_add(v.served,
                                             std::memory_order_relaxed);
                 chargeLease(l, cost);
                 return;
             }
         }
+
+        if (remainder > 0 && !giveBackTail(v, cost)) {
+            // Not handed back (see giveBackTail): return the unused
+            // span as one dummy entry so every leased byte is
+            // confirmed exactly once (DESIGN.md §3).
+            writeDummy(v.base + v.used, remainder);
+            filled = remainder;
+            cost += costs.copy(8);
+        }
     }
+    const uint32_t publish = v.confirmedBytes + filled;
     if (publish > 0) {
         {
             // Publish-phase probe: the bulk confirm FAA.
@@ -744,11 +755,13 @@ BTrace::leaseClose(Lease &l)
         rec->state.store(LeaseOwnerRecord::Free,
                          std::memory_order_release);
     ctrs.leaseEntries.fetch_add(v.served, std::memory_order_relaxed);
-    if (v.dummyBytes + remainder > 0) {
-        ctrs.dummyBytes.fetch_add(v.dummyBytes + remainder,
+    if (v.dummyBytes + filled > 0) {
+        ctrs.dummyBytes.fetch_add(v.dummyBytes + filled,
                                   std::memory_order_relaxed);
     }
-    ctrs.leasedOutstanding.fetch_sub(publish,
+    // Returned and published bytes both leave the outstanding level;
+    // only served-but-unconfirmed slots stay behind.
+    ctrs.leasedOutstanding.fetch_sub(v.confirmedBytes + remainder,
                                      std::memory_order_relaxed);
     // Journal only the anomalous closes: an abandoned lease (granted,
     // served nothing) or an early revoke returning unused bytes. The
@@ -762,13 +775,62 @@ BTrace::leaseClose(Lease &l)
     chargeLease(l, cost);
 }
 
+bool
+BTrace::giveBackTail(const LeaseView &v, double &cost)
+{
+    // A lease that served nothing gives its whole span up: handed
+    // back, a renewal with the same hint would be granted the same
+    // span, and a caller whose next entry does not fit it would renew
+    // forever. A tail no entry can fit would only move its dummy fill
+    // to the next reservation's boundary path, at two more RMWs.
+    if (v.served == 0 || v.len - v.used < EntryLayout::normalSize(0))
+        return false;
+    // Allocated still holds exactly what our claim left iff nothing
+    // reserved after us in this round: not a later reservation on the
+    // core, not a closer, not a stale-round fetch_add. Rounds only
+    // grow, so the word cannot come back to this value once moved —
+    // except through another lease's own give-back, which leaves
+    // nothing reserved above our span either. The plain load keeps a
+    // doomed CAS off the shared line.
+    MetadataBlock &m = meta[v.handle.slot];
+    uint64_t top = v.claimWord + v.claimLen;
+    if (m.allocated.load(std::memory_order_relaxed) != top)
+        return false;
+    ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+    if (!m.allocated.compare_exchange_strong(
+            top, v.claimWord + v.used, std::memory_order_seq_cst,
+            std::memory_order_relaxed))
+        return false;
+    cost += costs.atomicLocal;
+
+    // A claim that reached the block end made the block look exhausted
+    // to every writer of the core, and one of them may have moved the
+    // core to a fresh block meanwhile; then no writer comes back for
+    // the tail. Pairs with the check after tryAdvance's install (both
+    // sides seq_cst): at least one of the two sees the other and
+    // closes the block.
+    const RndPos claim = RndPos::unpack(v.claimWord);
+    if (uint64_t(claim.pos) + v.claimLen >= cap) {
+        const uint64_t pos = uint64_t(claim.rnd) * numActive +
+                             v.handle.slot;
+        const RatioPos now = RatioPos::unpack(
+            coreLocal[v.core]->load(std::memory_order_seq_cst));
+        if (now.pos != pos)
+            closeRound(v.handle.slot, claim.rnd, cost,
+                       BlockCloseReason::Graveyard);
+    }
+    return true;
+}
+
 void
 BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
                    BlockCloseReason reason)
 {
     MetadataBlock &m = meta[meta_idx];
     for (;;) {
-        uint64_t aw = m.allocated.load(std::memory_order_acquire);
+        // seq_cst: the load after tryAdvance's install is one half of
+        // the give-back handshake (giveBackTail).
+        uint64_t aw = m.allocated.load(std::memory_order_seq_cst);
         const RndPos a = RndPos::unpack(aw);
         if (a.rnd != rnd || a.pos >= cap)
             return;  // moved on, or nothing left to claim
@@ -910,7 +972,7 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!coreLocal[core]->compare_exchange_strong(
                 expected, RatioPos::pack(g.ratio, false, cand),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
+                std::memory_order_seq_cst, std::memory_order_acquire)) {
             // Another thread on this core already installed a block;
             // release ours by closing it and use theirs (§4.2, end).
             ctrs.coreRaces.fetch_add(1, std::memory_order_relaxed);
@@ -918,6 +980,15 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
                        BlockCloseReason::Graveyard);
             return AdvanceResult::LostRace;
         }
+
+        // The block we leave looked exhausted, but a lease may have
+        // handed its tail back since (giveBackTail, which pairs with
+        // this seq_cst check); no writer of the core returns to it, so
+        // close it. With nothing handed back this is one load of a
+        // line we just touched.
+        const uint64_t prev = RatioPos::unpack(local_word).pos;
+        closeRound(prev % numActive, checkedRound(prev, numActive), cost,
+                   BlockCloseReason::Graveyard);
 
         ctrs.advances.fetch_add(1, std::memory_order_relaxed);
         return AdvanceResult::Advanced;

@@ -232,10 +232,16 @@ class BTrace : public Tracer
      * With DumpOptions::closeActive, non-filled blocks whose writes
      * are all confirmed are read too and then *closed* by filling
      * their remaining space with dummy data, exactly as the paper's
-     * consumer does — producers move on to fresh blocks. Blocks with
-     * unconfirmed in-flight writes are always skipped. With
-     * DumpOptions::readOpen, such blocks are instead read in place
-     * and the walk continues past them (snapshot semantics).
+     * consumer does — producers move on to fresh blocks. A block with
+     * unconfirmed in-flight writes (or still being initialized) ends
+     * the pass there, as an open block does for a streaming read: a
+     * later call resumes at it once the writes publish. The wait is
+     * bounded: a block more than 2 x activeBlocks positions behind
+     * the newest, or any block on a DumpOptions::lastPass, is walked
+     * past instead and charged to Dump::unreadableBlocks unless it
+     * completed meanwhile. With DumpOptions::readOpen, open blocks
+     * are instead read in place and the walk continues past them
+     * (snapshot semantics).
      */
     Dump dumpFrom(DumpCursor &cursor,
                   const DumpOptions &opts = {}) override;
@@ -280,8 +286,9 @@ class BTrace : public Tracer
 
     /**
      * Adopt a control version another attachment published to the
-     * arena page, if any. One relaxed load when nothing changed; call
-     * at poll cadence (lease renewal, drain ticks), never per event.
+     * arena page, if any. Two loads, no lock, when nothing changed;
+     * call at poll cadence (lease renewal, drain ticks), never per
+     * event.
      */
     bool pollControl() { return plane->poll(); }
 
@@ -441,7 +448,7 @@ class BTrace : public Tracer
      */
     uint32_t registerLeaseOwner(uint32_t slot, uint32_t rnd,
                                 uint32_t span_start, uint32_t span_len,
-                                uint64_t block_pos);
+                                uint64_t block_pos, uint64_t seq);
 
     /**
      * Offset-based address of physical block @p phys — the form that
@@ -459,6 +466,15 @@ class BTrace : public Tracer
 
     /** Physical block of global position @p pos (via the RatioLog). */
     uint64_t physicalOf(uint64_t pos) const;
+
+    /**
+     * Hand a closing lease's unused tail back to its block: one CAS of
+     * Allocated from what the lease's claim left back to the end of
+     * the served bytes, issued only while nothing has reserved after
+     * the lease. False when the tail must be dummy-filled instead
+     * (DESIGN.md §7).
+     */
+    bool giveBackTail(const LeaseView &v, double &cost);
 
     /**
      * Close the block of round @p rnd on metadata @p meta_idx: claim
@@ -507,10 +523,11 @@ class BTrace : public Tracer
 
     /**
      * Speculative consumer read of one physical block (§4.3).
-     * Appends parsed entries and tallies skipped/unreadable blocks on
-     * @p out; an Abandoned outcome is returned *unclassified* — the
-     * caller decides whether it is a transient abandoned read (dump)
-     * or permanently overwritten data (dumpSince at a lapped
+     * Appends parsed entries and tallies skipped blocks on @p out;
+     * Unreadable and Abandoned outcomes are returned *unclassified* —
+     * the caller decides whether to wait for the block (dumpFrom near
+     * the frontier), or whether it is a transient abandoned read
+     * (dump) or permanently overwritten data (dumpFrom at a lapped
      * position).
      */
     BlockReadStatus readBlock(uint64_t phys, uint64_t window_start,

@@ -66,12 +66,10 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
             // Active block: readable only when every reservation has
             // been confirmed (Allocated.pos == Confirmed.pos, §4.1).
             const RndPos alloc = m.loadAllocated();
-            if (alloc.rnd == rnd && alloc.pos == conf.pos) {
+            if (alloc.rnd == rnd && alloc.pos == conf.pos)
                 readable = conf.pos;
-            } else {
-                ++out.unreadableBlocks;
+            else
                 return BlockReadStatus::Unreadable;
-            }
         }
     } else if (conf.rnd > rnd) {
         // Older round of this metadata: considered filled (§3.3). The
@@ -86,10 +84,8 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
     // state; a torn or corrupted metadata word must degrade to a short
     // read, never to the word-copy loop writing past scratch's end.
     const std::size_t copy_len = readable & ~std::size_t(7);
-    if (copy_len < EntryLayout::blockHeaderBytes) {
-        ++out.unreadableBlocks;  // corrupt state; nothing parseable
-        return BlockReadStatus::Unreadable;
-    }
+    if (copy_len < EntryLayout::blockHeaderBytes)
+        return BlockReadStatus::Unreadable;  // corrupt; nothing parseable
     if (scratch.size() < copy_len)
         scratch.resize(copy_len);
     for (std::size_t w = 0; w < copy_len; w += 8) {
@@ -183,6 +179,16 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
         out.overwrittenPositions = window_start - cursor.position;
     uint64_t q = std::max(cursor.position, window_start);
 
+    // Whether to stop at position p, and resume there next pass, when
+    // its block cannot be read yet: only near the frontier, where an
+    // open lease or an advancement in flight completes soon, and only
+    // with a later pass to come. Farther back the block is walked past
+    // — one stuck block (a writer killed mid-write) must not hold back
+    // the complete blocks after it until the producers lap them.
+    const auto waitAt = [&](uint64_t p) {
+        return !opts.lastPass && window_end - p <= 2 * numActive;
+    };
+
     std::vector<uint8_t> scratch(cap);
     double close_cost = 0.0;
     for (; q < window_end; ++q) {
@@ -190,6 +196,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
         const auto rnd = static_cast<uint32_t>(q / numActive);
         const MetadataBlock &m = meta[meta_idx];
         const RndPos conf = m.loadConfirmed();
+        bool unconfirmed = false;  // walked past with writes in flight
 
         if (conf.rnd == rnd && conf.pos < cap) {
             // Current-round block, still being filled. With
@@ -199,12 +206,19 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
             // walks on; an incremental consumer stops here —
             // consuming a partial block would lose its later entries.
             if (opts.closeActive) {
+                // Unconfirmed writes (an open lease, a preempted
+                // writer) or an advancement still initializing the
+                // block: stop here too while waitAt() allows. Past
+                // that the block is read if it has completed by now,
+                // and charged to unreadableBlocks if not.
                 const RndPos alloc = m.loadAllocated();
                 if (alloc.rnd == rnd && alloc.pos == conf.pos)
                     closeRound(meta_idx, rnd, close_cost,
                                BlockCloseReason::Consumer);
-                // An in-flight writer keeps the block incomplete;
-                // fall through — readBlock will classify it.
+                else if (waitAt(q))
+                    break;
+                else
+                    unconfirmed = true;
             } else if (!peek) {
                 break;
             }
@@ -216,7 +230,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
             // physical block may hold a countable skip marker) and
             // keeps walking.
             if (!peek) {
-                if (window_end - q <= 2 * numActive)
+                if (waitAt(q))
                     break;
                 continue;
             }
@@ -224,10 +238,18 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
 
         const BlockReadStatus r =
             readBlock(physicalOf(q), q, q + 1, scratch, out);
-        if (r == BlockReadStatus::Data ||
-            r == BlockReadStatus::Skipped ||
-            r == BlockReadStatus::Unreadable)
+        if (r == BlockReadStatus::Data || r == BlockReadStatus::Skipped)
             continue;
+
+        if (r == BlockReadStatus::Unreadable || unconfirmed) {
+            // Not flagged above: a writer reserved between that check
+            // and the close (or the metadata is corrupt). The same
+            // rule as for a block found unconfirmed.
+            if (!unconfirmed && !peek && waitAt(q))
+                break;
+            ++out.unreadableBlocks;
+            continue;
+        }
 
         if (peek) {
             // Snapshot semantics: a vanished or invalidated block is

@@ -191,7 +191,7 @@ BTrace::attachmentAlive(uint64_t gen) const
 uint32_t
 BTrace::registerLeaseOwner(uint32_t slot, uint32_t rnd,
                            uint32_t span_start, uint32_t span_len,
-                           uint64_t block_pos)
+                           uint64_t block_pos, uint64_t seq)
 {
     // Rotating per-thread probe start spreads concurrent producers
     // over the table instead of contending on record 0.
@@ -207,10 +207,9 @@ BTrace::registerLeaseOwner(uint32_t slot, uint32_t rnd,
             continue;
         r.pid.store(pid_, std::memory_order_relaxed);
         r.attachGen.store(attachGen, std::memory_order_relaxed);
-        r.leaseSeq.store(ctrl.hdr->leaseSeq.fetch_add(
-                             1, std::memory_order_relaxed) +
-                             1,
-                         std::memory_order_relaxed);
+        // Unique together with attachGen; drawn from this attachment's
+        // own lease count, never from a line shared across processes.
+        r.leaseSeq.store(seq, std::memory_order_relaxed);
         r.slot.store(slot, std::memory_order_relaxed);
         r.round.store(rnd, std::memory_order_relaxed);
         r.spanStart.store(span_start, std::memory_order_relaxed);
@@ -268,12 +267,14 @@ BTrace::sweepDeadOwners()
             continue;
 
         if (st == LeaseOwnerRecord::Closing) {
-            // Ambiguous micro-window: the owner died between its
-            // Active -> Closing CAS and freeing the record, so the
-            // bulk confirm may or may not have landed. Never touch
-            // the block — just free the record; if the confirm never
-            // landed the block stays incomplete and is sacrificed by
-            // §3.4 skipping, the same cost as any untracked death.
+            // Ambiguous window: the owner died between its Active ->
+            // Closing CAS and freeing the record, so its tail may
+            // already be handed back to the block (and reserved by
+            // another writer) or dummy-filled, and the bulk confirm
+            // may or may not have landed. Never touch the block —
+            // just free the record; if the confirm never landed the
+            // block stays incomplete and is sacrificed by §3.4
+            // skipping, the same cost as any untracked death.
             uint32_t expect = LeaseOwnerRecord::Closing;
             if (r.state.compare_exchange_strong(
                     expect, LeaseOwnerRecord::Free,

@@ -60,8 +60,10 @@ TracePersister::stop()
     stopping.store(true, std::memory_order_release);
     if (worker.joinable())
         worker.join();
-    // Final poll with close-on-read so the newest entries land too.
-    const Dump d = tracer.dumpFrom(cursor, DumpOptions{true, false});
+    // Final poll with close-on-read so the newest entries land too;
+    // the last one, so it walks past blocks a writer still holds.
+    const Dump d =
+        tracer.dumpFrom(cursor, DumpOptions{true, false, true});
     append(d.entries);
     ::close(fd);
     fd = -1;

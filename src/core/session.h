@@ -125,7 +125,7 @@ class Session
 
     /**
      * Adopt a control version published by another attachment, if
-     * any. One relaxed load when nothing changed; call at a poll
+     * any. Two loads, no lock, when nothing changed; call at a poll
      * cadence (lease renewal, drain tick), never per event.
      */
     bool pollControl() { return bt->pollControl(); }

@@ -184,6 +184,7 @@ ConsumerDaemon::drainLocked(const Dump &d,
     st.overwrittenPositions += d.overwrittenPositions;
     st.skippedBlocks += d.skippedBlocks;
     st.abandonedBlocks += d.abandonedBlocks;
+    st.unreadableBlocks += d.unreadableBlocks;
 
     if (!d.entries.empty() || sawLoss)
         return updateSegmentHeaderV2(segFd, segHdr);
@@ -268,8 +269,10 @@ ConsumerDaemon::stop()
         if (segFd < 0)
             return;
         // Final close-active drain so the tail of every open block
-        // lands, then finalize the segment as cleanly closed.
-        const Dump d = sess->dumpFrom(cursor, DumpOptions{true, false});
+        // lands, then finalize the segment as cleanly closed. No pass
+        // follows, so it must not stop at a block a writer still holds.
+        const Dump d =
+            sess->dumpFrom(cursor, DumpOptions{true, false, true});
         (void)drainLocked(d, fresh);
         finalizeSegmentLocked();
         ::close(segFd);
@@ -345,6 +348,9 @@ ConsumerDaemon::registerMetrics(MetricsRegistry &registry)
     counter("btraced_abandoned_blocks_total",
             "blocks abandoned by dead producers (data loss)",
             &DaemonStats::abandonedBlocks);
+    counter("btraced_unreadable_blocks_total",
+            "blocks walked past with writes unconfirmed (data loss)",
+            &DaemonStats::unreadableBlocks);
     counter("btraced_payload_bytes_total",
             "payload bytes drained to segments",
             &DaemonStats::payloadBytes);

@@ -56,7 +56,7 @@ enum class ProfilePhase : uint8_t
     Bump,         //!< bump-pointer serve from a leased span
     Publish,      //!< confirm FAA on Confirmed (single or bulk)
     Retry,        //!< advancement + backoff (tryAdvance, retry spins)
-    LeaseRenew,   //!< lease close overhead (remainder fill, owner CAS)
+    LeaseRenew,   //!< lease close overhead (owner CAS, tail give-back)
     ControlPoll,  //!< control-page poll for a newer snapshot
     Count_,       //!< sentinel: number of phases
 };

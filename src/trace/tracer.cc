@@ -12,9 +12,11 @@ bool
 Tracer::shouldRecord(uint16_t category, uint32_t thread,
                      uint64_t stamp) const
 {
-    // The entire cost at defaults: one relaxed load, one branch.
+    // The entire cost at defaults: one load, one branch. Acquire, not
+    // relaxed: a non-null snapshot was built just before its release
+    // store, and its fields are read below (a plain load on x86).
     const ControlSnapshot *cs =
-        control.load(std::memory_order_relaxed);
+        control.load(std::memory_order_acquire);
     if (cs == nullptr) [[likely]]
         return true;
     return cs->shouldRecord(category, thread, stamp);

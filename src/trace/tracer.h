@@ -91,7 +91,12 @@ struct Dump
     std::vector<DumpEntry> entries;
     uint64_t skippedBlocks = 0;    //!< blocks lost to SKP markers
     uint64_t abandonedBlocks = 0;  //!< speculative reads that failed
-    uint64_t unreadableBlocks = 0; //!< unconfirmed / in-flight blocks
+    /**
+     * Blocks with unconfirmed in-flight writes. Snapshot reads count
+     * every one they meet; BTrace's incremental reads (dumpFrom) count
+     * only those walked past for good, which is data loss.
+     */
+    uint64_t unreadableBlocks = 0;
     /**
      * Incremental reads only (dumpFrom): positions whose data the
      * producers lapped — between the caller's cursor and the
@@ -126,7 +131,11 @@ struct DumpOptions
      * Close partially filled blocks whose writes are all confirmed,
      * then read them (§4.3 non-filled handling): the newest entries
      * are returned now and producers move on to fresh blocks. Blocks
-     * with unconfirmed in-flight writes are always left alone.
+     * with unconfirmed in-flight writes are left alone, and the pass
+     * stops at the first one so a later pass resumes there — unless
+     * it lies far behind the newest block (BTrace: more than 2 x
+     * activeBlocks positions) or lastPass is set; then it is walked
+     * past and charged to Dump::unreadableBlocks.
      */
     bool closeActive = false;
     /**
@@ -138,6 +147,13 @@ struct DumpOptions
      * Mutually exclusive with closeActive (closeActive wins).
      */
     bool readOpen = false;
+    /**
+     * No later pass follows (a consumer's final drain at shutdown).
+     * A close-on-read pass then never stops to wait for a block, so
+     * every complete block after one still held by a writer is read
+     * too.
+     */
+    bool lastPass = false;
 };
 
 class Tracer;
@@ -151,13 +167,15 @@ struct ControlSnapshot;
  *
  * Lifecycle: allocate() entries until it reports Retry (span
  * exhausted), then close() — or let the destructor close. close()
- * publishes every confirmed entry and dummy-fills the unused
- * remainder, so the accounting invariant (every byte confirmed
- * exactly once) holds regardless of how much of the lease was used.
- * An abandoned-but-destructed lease therefore costs only its unused
- * bytes; a lease whose owner never returns leaves its block
- * unconfirmed and the block is sacrificed exactly like one held by a
- * preempted single-entry writer (§3.4).
+ * publishes every confirmed entry and returns the unused remainder:
+ * BTrace hands it back to the block when the lease is still the
+ * block's newest reservation, and dummy-fills it otherwise, so the
+ * accounting invariant (every byte confirmed exactly once) holds
+ * regardless of how much of the lease was used. An abandoned-but-
+ * destructed lease therefore costs at most its unused bytes; a lease
+ * whose owner never returns leaves its block unconfirmed and the
+ * block is sacrificed exactly like one held by a preempted
+ * single-entry writer (§3.4).
  *
  * A lease is bound to the (core, thread) it was opened for. A thread
  * migrating cores should close() and re-lease on the new core; writes
@@ -224,8 +242,8 @@ class Lease
 
     /**
      * Return the unused span and publish the lease's confirmed bytes
-     * with one shared RMW (batched tracers). Idempotent; the
-     * destructor calls it.
+     * (batched tracers: one shared RMW, plus one for a tail handed
+     * back to the block). Idempotent; the destructor calls it.
      */
     void close();
 
@@ -247,6 +265,8 @@ class Lease
         served = other.served;
         budget = other.budget;
         handle = other.handle;
+        claimWord = other.claimWord;
+        claimLen = other.claimLen;
         costNs = other.costNs;
         other.owner = nullptr;
         other.base = nullptr;
@@ -265,6 +285,8 @@ class Lease
     uint32_t served = 0;           //!< entries handed out
     uint32_t budget = 0;           //!< fallback mode: entries remaining
     TicketHandle handle;           //!< tracer-private
+    uint64_t claimWord = 0;        //!< tracer-private: word before the claim
+    uint32_t claimLen = 0;         //!< tracer-private: bytes the claim added
     double costNs = 0.0;
 };
 
@@ -397,7 +419,7 @@ class Tracer
      * @p category from @p thread at @p stamp should be recorded.
      * record() consults it internally; lease-path callers (the replay
      * engine, btrace_producer) call it before allocating an entry.
-     * With controls at defaults this is one relaxed load and a
+     * With controls at defaults this is one acquire load and a
      * predicted-not-taken branch — zero shared RMWs, the same bar as
      * the journal and observer planes.
      */
@@ -436,10 +458,17 @@ class Tracer
      */
     virtual void leaseClose(Lease &l) { (void)l; }
 
-    /** Build a granted batched lease (implementation helper). */
+    /**
+     * Build a granted batched lease (implementation helper).
+     * @p claim_word and @p claim_len are the tracer's record of the
+     * reservation that produced the span (BTrace: the Allocated word
+     * its fetch_add returned and the amount added), handed back
+     * unchanged in the LeaseView at close.
+     */
     static Lease
     grantLease(Tracer &t, uint16_t core, uint32_t thread, uint8_t *base,
-               uint32_t len, TicketHandle handle, double cost)
+               uint32_t len, TicketHandle handle, double cost,
+               uint64_t claim_word, uint32_t claim_len)
     {
         Lease l;
         l.owner = &t;
@@ -449,6 +478,8 @@ class Tracer
         l.base = base;
         l.len = len;
         l.handle = handle;
+        l.claimWord = claim_word;
+        l.claimLen = claim_len;
         l.costNs = cost;
         return l;
     }
@@ -474,13 +505,16 @@ class Tracer
         uint32_t served;
         uint16_t core;
         TicketHandle handle;
+        uint64_t claimWord;
+        uint32_t claimLen;
     };
 
     static LeaseView
     viewOf(const Lease &l)
     {
-        return {l.base, l.len,    l.used, l.confirmedBytes,
-                l.dummyBytes, l.served, l.coreId, l.handle};
+        return {l.base,       l.len,    l.used,   l.confirmedBytes,
+                l.dummyBytes, l.served, l.coreId, l.handle,
+                l.claimWord,  l.claimLen};
     }
 
     /** Add @p ns to a lease's accumulated cost (from leaseClose). */

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -495,6 +496,90 @@ TEST(ControlPage, ApplyPropagatesAcrossFileAttachments)
         EXPECT_EQ(late.value()->controlPlane().version(), 3u);
     }
     std::remove(path.c_str());
+}
+
+#if defined(BTRACE_ENABLE_TEST_HOOKS) && BTRACE_ENABLE_TEST_HOOKS
+TEST(ControlPage, LockFreePollWaitsForAnUnswappedVersion)
+{
+    // poll() skips the plane's lock while the page shows nothing newer
+    // than the version this attachment serves. A poller adopting
+    // version 2 is parked before its snapshot swap: a second poller
+    // must not take the lock-free exit and run on version 1 meanwhile.
+    BTraceConfig cfg = smallConfig();
+    cfg.storage = StorageKind::Shm;
+    auto owner_e = Session::create(cfg);
+    ASSERT_TRUE(owner_e.ok()) << owner_e.status().toString();
+    Session owner = std::move(owner_e.value());
+    auto peer_e = Session::attachFd(owner.shareFd());
+    ASSERT_TRUE(peer_e.ok()) << peer_e.status().toString();
+    Session peer = std::move(peer_e.value());
+
+    ControlConfig c;
+    c.sampleRate = 0.25;
+    ASSERT_TRUE(owner.applyControl(c).ok());
+
+    PreemptionInjector inj;
+    inj.armPark(hooks::YieldPoint::ControlPreSwap);
+    std::thread adopter([&] { EXPECT_TRUE(peer.pollControl()); });
+    ASSERT_TRUE(inj.awaitParked(hooks::YieldPoint::ControlPreSwap));
+    EXPECT_EQ(peer->controlSnapshot(), nullptr);  // still version 1
+
+    std::atomic<bool> returned{false};
+    std::thread second([&] {
+        EXPECT_FALSE(peer.pollControl());
+        // Whatever the outcome, it must not predate version 2.
+        EXPECT_NE(peer->controlSnapshot(), nullptr);
+        returned.store(true, std::memory_order_release);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load(std::memory_order_acquire));
+
+    inj.release(hooks::YieldPoint::ControlPreSwap);
+    adopter.join();
+    second.join();
+    EXPECT_EQ(peer->controlPlane().version(), 2u);
+}
+#endif // BTRACE_ENABLE_TEST_HOOKS
+
+// Pollers on one attachment race the owner's applies (the TSan workout
+// for the lock-free poll path); every poller converges on the last
+// version, and each version is adopted at most once.
+TEST(ControlPage, ConcurrentPollersConvergeOnTheLastVersion)
+{
+    BTraceConfig cfg = smallConfig();
+    cfg.storage = StorageKind::Shm;
+    auto owner_e = Session::create(cfg);
+    ASSERT_TRUE(owner_e.ok()) << owner_e.status().toString();
+    Session owner = std::move(owner_e.value());
+    auto peer_e = Session::attachFd(owner.shareFd());
+    ASSERT_TRUE(peer_e.ok()) << peer_e.status().toString();
+    Session peer = std::move(peer_e.value());
+
+    constexpr int kApplies = 200;
+    std::atomic<bool> applying{true};
+    std::atomic<uint64_t> adopted{0};
+    std::vector<std::thread> pollers;
+    for (int i = 0; i < 3; ++i) {
+        pollers.emplace_back([&] {
+            while (applying.load(std::memory_order_acquire))
+                if (peer.pollControl())
+                    adopted.fetch_add(1, std::memory_order_relaxed);
+        });
+    }
+    ControlConfig cfgs[2];
+    cfgs[0].sampleRate = 0.5;  // cfgs[1] stays defaults
+    for (int i = 0; i < kApplies; ++i)
+        ASSERT_TRUE(owner.applyControl(cfgs[i % 2]).ok());
+    applying.store(false, std::memory_order_release);
+    for (std::thread &t : pollers)
+        t.join();
+
+    if (peer.pollControl())
+        adopted.fetch_add(1, std::memory_order_relaxed);
+    EXPECT_EQ(peer->controlPlane().version(), uint64_t(kApplies) + 1);
+    EXPECT_FALSE(peer.pollControl());
+    EXPECT_LE(adopted.load(), uint64_t(kApplies));
+    EXPECT_GE(adopted.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------

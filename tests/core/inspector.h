@@ -79,8 +79,8 @@ class BTraceInspector
     /**
      * Direct call into the private speculative reader, with a caller-
      * controlled scratch buffer (regression surface for the scratch
-     * sizing contract). Classifies an Abandoned outcome the way
-     * dump() does.
+     * sizing contract). Classifies Unreadable and Abandoned outcomes
+     * the way dump() does.
      */
     BlockReadStatus
     readBlockRaw(uint64_t phys, uint64_t window_start,
@@ -89,6 +89,8 @@ class BTraceInspector
     {
         const BlockReadStatus r =
             bt.readBlock(phys, window_start, window_end, scratch, out);
+        if (r == BlockReadStatus::Unreadable)
+            ++out.unreadableBlocks;
         if (r == BlockReadStatus::Abandoned)
             ++out.abandonedBlocks;
         return r;

@@ -226,6 +226,37 @@ TEST(Harness, LapDuringDumpSinceCountsOverwrittenNotAbandoned)
     expectAuditClean(bt);
 }
 
+// A close-on-read pass that meets a block an advancer has locked but
+// not yet initialized (no header, Allocated still in the old round)
+// must stop there: walking past it as an empty position drops the
+// entries written into the block once the advancer finishes.
+TEST(Harness, CloseOnReadWaitsForABlockStillBeingOpened)
+{
+    BTrace bt(tinyConfig(2, 8, 32));
+    ASSERT_TRUE(bt.record(0, 1, 1, 16));
+
+    PreemptionInjector inj;
+    inj.armPark(YieldPoint::AdvancePreReset);
+    std::thread writer([&] { ASSERT_TRUE(bt.record(1, 2, 2, 16)); });
+    ASSERT_TRUE(inj.awaitParked(YieldPoint::AdvancePreReset));
+
+    DumpCursor cursor;
+    DumpOptions opts;
+    opts.closeActive = true;
+    const Dump first = bt.dumpFrom(cursor, opts);
+
+    inj.release(YieldPoint::AdvancePreReset);
+    writer.join();
+    const Dump second = bt.dumpFrom(cursor, opts);
+
+    std::set<uint64_t> stamps;
+    for (const Dump *d : {&first, &second})
+        for (const DumpEntry &e : d->entries)
+            stamps.insert(e.stamp);
+    EXPECT_EQ(stamps, (std::set<uint64_t>{1, 2}));
+    expectAuditClean(bt);
+}
+
 #endif // BTRACE_ENABLE_TEST_HOOKS
 
 // A preempted writer holding an unconfirmed reservation keeps its

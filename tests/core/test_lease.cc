@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/auditor.h"
@@ -295,15 +297,196 @@ TEST(Lease, BlockClosedAndSkippedUnderOpenLease)
     expectCleanAudit(bt);
 }
 
+/** Serve @p n confirmed 16-byte-payload entries; returns the last one's end. */
+const uint8_t *
+serve(Lease &l, uint64_t first_stamp, int n)
+{
+    const uint8_t *end = nullptr;
+    for (int i = 0; i < n; ++i) {
+        WriteTicket t = l.allocate(16);
+        EXPECT_TRUE(t.ok());
+        if (!t.ok())
+            return end;
+        writeNormal(t.dst, first_stamp + uint64_t(i), l.core(),
+                    l.thread(), 0, 16);
+        l.confirm(t);
+        end = t.dst + t.entrySize;
+    }
+    return end;
+}
+
+TEST(LeaseGiveBack, UnusedTailReturnsToItsBlock)
+{
+    // The lease is still the block's newest reservation at close, so
+    // its unused tail goes back to the block instead of into a dummy:
+    // the next lease on the core starts right after the served bytes.
+    BTrace bt(largeConfig());
+    Lease l = bt.lease(0, 1, 16, 8);
+    ASSERT_TRUE(l.ok());
+    const uint8_t *end = serve(l, 1, 2);
+    const BTraceCounters::Snapshot before = bt.countersSnapshot();
+    l.close();
+    EXPECT_EQ(bt.countersSnapshot().dummyBytes, before.dummyBytes);
+    EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
+
+    const uint64_t rmws = bt.countersSnapshot().sharedRmws;
+    Lease next = bt.lease(0, 1, 16, 8);
+    ASSERT_TRUE(next.ok());
+    WriteTicket t = next.allocate(16);
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ(t.dst, end);
+    writeNormal(t.dst, 3, 0, 1, 0, 16);
+    next.confirm(t);
+    next.close();
+    // Claim FAA, give-back CAS, confirm FAA.
+    EXPECT_EQ(bt.countersSnapshot().sharedRmws - rmws, 3u);
+    EXPECT_EQ(bt.countersSnapshot().dummyBytes, before.dummyBytes);
+    EXPECT_EQ(bt.dump().entries.size(), 3u);
+    expectCleanAudit(bt);
+}
+
+TEST(LeaseGiveBack, LaterReservationForcesDummyFill)
+{
+    // A single-entry reservation on the same core lands after the
+    // lease's span: the give-back must fail (no doomed CAS issued),
+    // the tail is dummy-filled, and the later entry survives.
+    BTrace bt(largeConfig());
+    Lease l = bt.lease(0, 1, 16, 8);
+    ASSERT_TRUE(l.ok());
+    serve(l, 1, 2);
+    WriteTicket later = bt.allocate(0, 2, 16);
+    ASSERT_TRUE(later.ok());
+    writeNormal(later.dst, 100, 0, 2, 0, 16);
+    bt.confirm(later);
+
+    const BTraceCounters::Snapshot before = bt.countersSnapshot();
+    l.close();
+    const BTraceCounters::Snapshot d = bt.countersSnapshot() - before;
+    EXPECT_EQ(d.dummyBytes, 6 * EntryLayout::normalSize(16));
+    EXPECT_EQ(d.sharedRmws, 1u);  // the confirm FAA only
+    EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
+
+    const Dump dump = bt.dump();
+    EXPECT_EQ(dump.entries.size(), 3u);
+    bool sawLater = false;
+    for (const DumpEntry &e : dump.entries)
+        sawLater = sawLater || e.stamp == 100;
+    EXPECT_TRUE(sawLater);
+    expectCleanAudit(bt);
+}
+
+TEST(LeaseGiveBack, TailOfAnAbandonedBlockIsClosed)
+{
+    // The lease's claim reaches the block end, so the block looks
+    // exhausted and another writer moves the core to a fresh block.
+    // Handing the tail back would then leave the old block open with
+    // no writer coming back for it; the close must finish it instead.
+    BTrace bt(smallConfig());
+    BTraceInspector insp(bt);
+    Lease l = bt.lease(0, 1, 16, 1000);  // the whole block
+    ASSERT_TRUE(l.ok());
+    serve(l, 1, 2);
+    const uint64_t pos = insp.coreWord(0).pos;
+    ASSERT_TRUE(bt.record(0, 2, 100, 16));  // advances core 0
+    ASSERT_NE(insp.coreWord(0).pos, pos);
+
+    l.close();
+    const std::size_t m = pos % insp.activeBlocks();
+    EXPECT_EQ(insp.confirmed(m).pos, 256u);  // complete, not open
+    EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
+    EXPECT_EQ(bt.dump().entries.size(), 3u);
+    expectCleanAudit(bt);
+}
+
+TEST(LeaseGiveBack, EntryTooBigForTheSpanStillProgresses)
+{
+    // The lease lands on a block tail that fits its hint but not the
+    // entry the caller then writes. A span that served nothing is not
+    // handed back, so the renewal moves on instead of being granted
+    // the same unusable tail forever.
+    BTrace bt(smallConfig());
+    for (uint64_t s = 1; s <= 4; ++s)
+        ASSERT_TRUE(bt.record(0, 1, s, 16));  // 80 bytes of 240 left
+    int renewals = 0;
+    WriteTicket t;
+    for (; renewals < 8; ++renewals) {
+        Lease l = bt.lease(0, 1, 16, 1000);
+        ASSERT_TRUE(l.ok());
+        t = l.allocate(100);  // 128 bytes: more than the tail
+        if (t.ok()) {
+            writeNormal(t.dst, 5, 0, 1, 0, 100);
+            l.confirm(t);
+            break;
+        }
+    }
+    EXPECT_TRUE(t.ok()) << "no progress after " << renewals
+                        << " renewals";
+    EXPECT_EQ(bt.dump().entries.size(), 5u);
+    expectCleanAudit(bt);
+}
+
+/**
+ * §2.2 effectivity of a dump of stamps 1..@p newest: bytes of the
+ * newest contiguous run over the buffer capacity.
+ */
+double
+effectivity(BTrace &bt, uint64_t newest)
+{
+    std::unordered_map<uint64_t, uint32_t> size;
+    for (const DumpEntry &e : bt.dump().entries)
+        size[e.stamp] = e.size;
+    double bytes = 0.0;
+    for (uint64_t s = newest; s >= 1 && size.count(s) != 0; --s)
+        bytes += size[s];
+    return bytes / double(bt.capacityBytes());
+}
+
+TEST(LeaseGiveBack, OversizedLeasesKeepSingleEntryEffectivity)
+{
+    // Leases sized for 4x the real payload used to dummy-fill the
+    // unused ~60% of every span; with the tails handed back, the ring
+    // holds as much of the stream as record() fills it with.
+    constexpr uint64_t kEvents = 24000;
+    constexpr uint32_t kPayload = 32, kBurst = 8;
+    const BTraceConfig cfg = smallConfig(4096, 64, 16, 4);
+
+    BTrace single(cfg);
+    for (uint64_t s = 1; s <= kEvents; ++s)
+        ASSERT_TRUE(single.record(0, 1, s, kPayload));
+
+    BTrace leased(cfg);
+    uint64_t s = 1;
+    while (s <= kEvents) {
+        Lease l = leased.lease(0, 1, 4 * kPayload, kBurst);
+        ASSERT_TRUE(l.ok());
+        for (uint32_t k = 0; k < kBurst && s <= kEvents; ++k) {
+            WriteTicket t = l.allocate(kPayload);
+            if (!t.ok())
+                break;  // span ran out at the block end: renew
+            writeNormal(t.dst, s++, 0, 1, 0, kPayload);
+            l.confirm(t);
+        }
+    }
+
+    const double eSingle = effectivity(single, kEvents);
+    const double eLeased = effectivity(leased, kEvents);
+    EXPECT_GT(eSingle, 0.9);
+    EXPECT_NEAR(eLeased, eSingle, 0.03)
+        << "single=" << eSingle << " leased=" << eLeased;
+    expectCleanAudit(single);
+    expectCleanAudit(leased);
+}
+
 #if defined(BTRACE_ENABLE_TEST_HOOKS) && BTRACE_ENABLE_TEST_HOOKS
 
 TEST(LeaseInterleaving, OwnerParkedInsideCloseWhileBlockSacrificed)
 {
-    // The thread is descheduled inside close() after dummying the
-    // remainder but before the bulk confirm — the widest revocation
-    // window. Concurrent writers wrap the buffer and sacrifice the
-    // held block; the late confirm must still land in the metadata
-    // and complete the round.
+    // The thread is descheduled inside close() before returning the
+    // remainder and publishing the bulk confirm — the widest
+    // revocation window. Concurrent writers wrap the buffer, close the
+    // held block's tail and sacrifice it; the late close must fall
+    // back to a dummy fill, and its confirm must still land in the
+    // metadata and complete the round.
     PreemptionInjector inj;
     BTrace bt(smallConfig());
 
@@ -374,6 +557,38 @@ TEST(LeaseInterleaving, ClaimRacesRoundTurnover)
     expectCleanAudit(bt);
 }
 
+TEST(LeaseInterleaving, AdvanceRacingGiveBackClosesTheTail)
+{
+    // The other half of the give-back handshake: a writer saw the
+    // block exhausted by the lease's claim and is about to move the
+    // core on, but the lease closes first and, with the core still on
+    // the block, hands its tail back. The writer's install must then
+    // close the block it leaves, or the tail stays open forever.
+    PreemptionInjector inj;
+    BTrace bt(smallConfig());
+    BTraceInspector insp(bt);
+    Lease l = bt.lease(0, 1, 16, 1000);  // the whole block
+    ASSERT_TRUE(l.ok());
+    serve(l, 1, 2);
+    const uint64_t pos = insp.coreWord(0).pos;
+    const std::size_t m = pos % insp.activeBlocks();
+
+    inj.armPark(hooks::YieldPoint::AdvancePreInstall);
+    std::thread writer([&]() { ASSERT_TRUE(bt.record(0, 2, 100, 16)); });
+    ASSERT_TRUE(inj.awaitParked(hooks::YieldPoint::AdvancePreInstall));
+
+    l.close();
+    EXPECT_EQ(insp.coreWord(0).pos, pos);
+    EXPECT_LT(insp.confirmed(m).pos, 256u);  // tail handed back
+
+    inj.release(hooks::YieldPoint::AdvancePreInstall);
+    writer.join();
+    EXPECT_NE(insp.coreWord(0).pos, pos);
+    EXPECT_EQ(insp.confirmed(m).pos, 256u);
+    EXPECT_EQ(bt.dump().entries.size(), 3u);
+    expectCleanAudit(bt);
+}
+
 TEST(LeaseStress, ConcurrentLeaseAndSingleWritersUnderRandomYields)
 {
     // Mixed traffic with scheduler churn concentrated on the lease
@@ -384,6 +599,18 @@ TEST(LeaseStress, ConcurrentLeaseAndSingleWritersUnderRandomYields)
 
     constexpr int threadsPerMode = 2;
     constexpr int opsPerThread = 4000;
+    // A close-on-read consumer races closeRound against the lease
+    // give-back CAS (and its tryAdvance counterpart).
+    std::atomic<bool> writing{true};
+    std::thread consumer([&]() {
+        DumpCursor cursor;
+        DumpOptions opts;
+        opts.closeActive = true;
+        while (writing.load(std::memory_order_acquire)) {
+            (void)bt.dumpFrom(cursor, opts);
+            std::this_thread::yield();
+        }
+    });
     std::vector<std::thread> workers;
     for (int w = 0; w < threadsPerMode; ++w) {
         workers.emplace_back([&, w]() {
@@ -425,6 +652,8 @@ TEST(LeaseStress, ConcurrentLeaseAndSingleWritersUnderRandomYields)
     }
     for (std::thread &t : workers)
         t.join();
+    writing.store(false, std::memory_order_release);
+    consumer.join();
 
     EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
     EXPECT_GT(bt.countersSnapshot().leases, 0u);

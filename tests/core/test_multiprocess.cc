@@ -3,12 +3,12 @@
  * Fork-based crash tests of the multi-process ownership protocol
  * (DESIGN.md §11): a child process attaches to the shared arena,
  * takes a lease, and is SIGKILLed at the worst moments — mid-lease
- * and parked at the LeasePreCloseConfirm window (remainder dummied,
- * bulk confirm not yet published). The parent then proves the child
- * dead, reclaims its lease through the graveyard-close path, and
- * audits the completeness invariant: every live round complete or
- * open, every byte confirmed exactly once, the arena fully usable
- * again.
+ * and parked at the LeasePreCloseConfirm window (close begun, tail
+ * not yet returned, bulk confirm not yet published). The parent then
+ * proves the child dead, reclaims its lease through the
+ * graveyard-close path, and audits the completeness invariant: every
+ * live round complete or open, every byte confirmed exactly once, the
+ * arena fully usable again.
  *
  * Children never run gtest machinery: they report readiness over a
  * pipe and die by SIGKILL (or _exit), so no atexit/teardown runs in
@@ -169,7 +169,7 @@ TEST(MultiProcess, SweepReclaimsChildParkedAtPreCloseConfirm)
     ASSERT_GE(child, 0);
     if (child == 0) {
         // Child: write through a lease, then die *inside* leaseClose
-        // — remainder dummy-filled, Confirmed publish still pending,
+        // — tail not yet returned, Confirmed publish still pending,
         // owner record still Active. The narrowest window the
         // sweeper has to get right: claiming the record before the
         // (dead) producer's confirm must not double-publish.

@@ -98,6 +98,30 @@ TEST_F(PersisterTest, StopIsIdempotent)
     EXPECT_EQ(loaded.size(), 1u);
 }
 
+TEST_F(PersisterTest, StopReadsPastALeaseStillOpen)
+{
+    // The final poll is the last one: a lease still open on core 0
+    // must not keep core 1's later blocks out of the file.
+    BTrace bt(smallConfig());
+    PersisterOptions opt;
+    opt.pollIntervalSec = 0.001;
+    TracePersister persister(bt, path, opt);
+
+    Lease l = bt.lease(0, 1, 16, 4);
+    ASSERT_TRUE(l.ok());
+    WriteTicket t = l.allocate(16);
+    ASSERT_TRUE(t.ok());
+    writeNormal(t.dst, 1000, 0, 1, 0, 16);
+    l.confirm(t);
+    constexpr uint64_t kCore1 = 100;  // several blocks
+    for (uint64_t s = 1; s <= kCore1; ++s)
+        ASSERT_TRUE(bt.record(1, 2, s, 32));
+    persister.stop();
+    l.close();
+
+    EXPECT_EQ(TracePersister::load(path).size(), kCore1);
+}
+
 TEST_F(PersisterTest, ConcurrentProducersWhilePersisting)
 {
     BTrace bt(smallConfig());

@@ -120,6 +120,128 @@ TEST_F(DaemonTest, SecondDrainSeesOnlyNewEntries)
     EXPECT_EQ(daemon.stats().entries, 80u);
 }
 
+TEST_F(DaemonTest, CloseOnReadWaitsForAnOpenLease)
+{
+    // A close-on-read drain that meets a block still held by an open
+    // lease must stop there, not walk past it: once the lease
+    // publishes, the next drain delivers every entry to a segment.
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+
+    constexpr uint64_t kEntries = 4;
+    Lease l = daemon.session()->lease(0, 1, 16, uint32_t(kEntries));
+    ASSERT_TRUE(l.ok());
+    for (uint64_t st = 1; st <= kEntries; ++st) {
+        WriteTicket t = l.allocate(16);
+        ASSERT_TRUE(t.ok());
+        writeNormal(t.dst, st, 0, 1, 0, 16);
+        l.confirm(t);
+    }
+    auto held = daemon.drainOnce();
+    ASSERT_TRUE(held.ok());
+    EXPECT_EQ(held.value(), 0u);
+
+    l.close();
+    auto n = daemon.drainOnce();
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), kEntries);
+    daemon.stop();
+
+    EXPECT_EQ(daemon.stats().entries, kEntries);
+    auto loaded = readTraceFile(daemonSegmentPath(dir, 0));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded.value().size(), kEntries);
+}
+
+/** Record @p n 16-byte-payload entries on @p core, stamps from @p first. */
+void
+recordOn(Session &sess, uint16_t core, uint64_t first, uint64_t n)
+{
+    for (uint64_t st = first; st < first + n; ++st)
+        ASSERT_TRUE(sess->record(core, 2, st, 16));
+}
+
+TEST_F(DaemonTest, StopReadsPastALeaseStillOpen)
+{
+    // The final drain has no later pass to wait for: a lease still
+    // open on core 0 costs its own block, never the complete blocks
+    // core 1 filled after it.
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+
+    Lease l = daemon.session()->lease(0, 1, 16, 4);
+    ASSERT_TRUE(l.ok());
+    WriteTicket t = l.allocate(16);
+    ASSERT_TRUE(t.ok());
+    writeNormal(t.dst, 1000, 0, 1, 0, 16);
+    l.confirm(t);
+
+    constexpr uint64_t kCore1 = 30;  // four blocks and a bit
+    recordOn(daemon.session(), 1, 1, kCore1);
+    daemon.stop();
+    l.close();
+
+    EXPECT_EQ(daemon.stats().entries, kCore1);
+    EXPECT_EQ(daemon.stats().unreadableBlocks, 1u);
+    auto loaded = readTraceFile(daemonSegmentPath(dir, 0));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded.value().size(), kCore1);
+}
+
+TEST_F(DaemonTest, DrainWalksPastABlockStuckFarBehind)
+{
+    // A writer that dies between its reservation and its confirm
+    // leaves a block that never completes. A drain waits for it only
+    // near the frontier; once the producers are more than 2 x
+    // activeBlocks positions past it, the drain walks on, counts the
+    // block, and delivers the blocks after it.
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+
+    WriteTicket held = daemon.session()->allocate(0, 1, 16);
+    ASSERT_TRUE(held.ok());
+
+    recordOn(daemon.session(), 1, 1, 10);
+    auto near = daemon.drainOnce();
+    ASSERT_TRUE(near.ok());
+    EXPECT_EQ(near.value(), 0u);  // still waiting at core 0's block
+
+    constexpr uint64_t kCore1 = 150;  // ~20 blocks: past 2 x 8
+    recordOn(daemon.session(), 1, 11, kCore1 - 10);
+    auto far = daemon.drainOnce();
+    ASSERT_TRUE(far.ok());
+    // The held block's metadata slot never reaches its next round, so
+    // this drain waits again at that slot's last candidate near the
+    // frontier; everything before it has landed.
+    EXPECT_GE(far.value(), 7u * 10);
+    EXPECT_EQ(daemon.stats().unreadableBlocks, 1u);
+
+    writeNormal(held.dst, 1000, 0, 1, 0, 16);
+    daemon.session()->confirm(held);
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().entries, kCore1);
+    EXPECT_EQ(daemon.stats().unreadableBlocks, 1u);
+    EXPECT_EQ(daemon.stats().overwrittenPositions, 0u);
+}
+
 TEST_F(DaemonTest, RotatesAndAgesOutSegments)
 {
     auto s = Session::create(smallConfig());
