@@ -124,6 +124,32 @@ ConcurrentHistogram::addToShard(unsigned shard, uint64_t v)
     sh.sum.fetch_add(v, std::memory_order_relaxed);
 }
 
+void
+ConcurrentHistogram::merge(HistogramBatch &batch)
+{
+    if (batch.empty())
+        return;
+    Shard &sh = shards[shardFor()];
+    for (std::size_t b = batch.lo; b < batch.hi; ++b) {
+        if (batch.counts[b] != 0)
+            sh.counts[b].fetch_add(batch.counts[b],
+                                   std::memory_order_relaxed);
+    }
+    sh.sum.fetch_add(batch.sum, std::memory_order_relaxed);
+    batch.clear();
+}
+
+void
+HistogramBatch::clear()
+{
+    if (!empty())
+        std::fill(counts.begin() + std::ptrdiff_t(lo),
+                  counts.begin() + std::ptrdiff_t(hi), 0);
+    sum = 0;
+    lo = ConcurrentHistogram::kBuckets;
+    hi = 0;
+}
+
 HistogramSnapshot
 ConcurrentHistogram::snapshot() const
 {

@@ -56,6 +56,8 @@ struct HistogramSnapshot
     HistogramSnapshot &merge(const HistogramSnapshot &other);
 };
 
+class HistogramBatch;
+
 /**
  * Concurrent wide-range latency histogram. Values are unsigned (ns by
  * convention); buckets are exact below 2^kSubBits and log-linear with
@@ -83,6 +85,12 @@ class ConcurrentHistogram
 
     /** Record one value into an explicit shard (tests, pinned loops). */
     void addToShard(unsigned shard, uint64_t v);
+
+    /**
+     * Fold @p batch in and empty it: the same buckets and sum as one
+     * add() per value it holds, for one RMW per touched bucket.
+     */
+    void merge(HistogramBatch &batch);
 
     unsigned shardCount() const { return nShards; }
 
@@ -112,6 +120,40 @@ class ConcurrentHistogram
 
     unsigned nShards;
     std::unique_ptr<Shard[]> shards;
+};
+
+/**
+ * Single-owner, non-atomic accumulator with ConcurrentHistogram's
+ * buckets: a hot loop adds to it with plain increments and folds it
+ * into the shared histogram once (ConcurrentHistogram::merge), instead
+ * of paying two atomic RMWs per value.
+ */
+class HistogramBatch
+{
+  public:
+    void
+    add(uint64_t v)
+    {
+        const std::size_t b = ConcurrentHistogram::bucketOf(v);
+        ++counts[b];
+        sum += v;
+        lo = b < lo ? b : lo;
+        hi = b >= hi ? b + 1 : hi;
+    }
+
+    bool empty() const { return lo >= hi; }
+
+    /** Drop every value added since the last merge. */
+    void clear();
+
+  private:
+    friend class ConcurrentHistogram;
+
+    std::vector<uint64_t> counts =
+        std::vector<uint64_t>(ConcurrentHistogram::kBuckets, 0);
+    uint64_t sum = 0;
+    std::size_t lo = ConcurrentHistogram::kBuckets;  //!< touched range
+    std::size_t hi = 0;
 };
 
 } // namespace btrace

@@ -4,8 +4,9 @@
  *
  * BTrace's lock-free algorithms have a handful of critical windows —
  * between the core-local read and the Allocated fetch_add, between the
- * Confirmed lock and the Allocated reset, between the speculative copy
- * and its re-validation, ... — whose interleavings decide correctness.
+ * Confirmed lock and the Allocated reset, between the speculative
+ * in-place parse and its re-validation, ... — whose interleavings
+ * decide correctness.
  * Uncontrolled thread scheduling hits those windows rarely; tests need
  * to *force* them.
  *
@@ -42,7 +43,7 @@ enum class YieldPoint : int
     AdvancePreReset,          //!< tryAdvance: Confirmed locked, Allocated reset next
     AdvancePreInstall,        //!< tryAdvance: header confirmed, core-local CAS next
     ClosePreClaim,            //!< closeRound: Allocated read, claim CAS next
-    ReadPostCopy,             //!< readBlock: copy done, re-validation next
+    ReadPostCopy,             //!< readBlock: entries parsed in place, re-validation next
     ResizePostFreeze,         //!< resize: frozen bit set, quiesce next
     ResizePreDecommit,        //!< resize: epochs synchronized, decommit next
     LeasePreClaim,            //!< lease: core-local read done, span FAA next

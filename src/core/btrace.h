@@ -222,9 +222,10 @@ class BTrace : public Tracer
     Dump dump() override;
 
     /**
-     * Incremental consumer read (§4.3, daemon-collector mode): return
-     * the blocks completed at positions >= @p cursor, advancing
-     * @p cursor past everything read. A cursor that fell behind the
+     * Incremental consumer read (§4.3, daemon-collector mode): fill
+     * @p out (reset first, its entry capacity reused) with the blocks
+     * completed at positions >= @p cursor, advancing @p cursor past
+     * everything read. A cursor that fell behind the
      * overwrite frontier snaps forward to the last-N window and the
      * skipped span is charged to Dump::overwrittenPositions (data the
      * producers already overwrote).
@@ -243,8 +244,9 @@ class BTrace : public Tracer
      * are instead read in place and the walk continues past them
      * (snapshot semantics).
      */
-    Dump dumpFrom(DumpCursor &cursor,
-                  const DumpOptions &opts = {}) override;
+    void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
+                  Dump &out) override;
+    using Tracer::dumpFrom;
 
     /** Legacy spelling of dumpFrom; use the DumpCursor overload. */
     [[deprecated("use dumpFrom(DumpCursor&, DumpOptions)")]]
@@ -522,17 +524,18 @@ class BTrace : public Tracer
     }
 
     /**
-     * Speculative consumer read of one physical block (§4.3).
-     * Appends parsed entries and tallies skipped blocks on @p out;
-     * Unreadable and Abandoned outcomes are returned *unclassified* —
+     * Speculative consumer read of one physical block (§4.3), parsed
+     * in place. Appends parsed entries and tallies skipped blocks on
+     * @p out; an Abandoned block leaves @p out.entries as it found
+     * them. Unreadable and Abandoned outcomes are returned
+     * *unclassified* —
      * the caller decides whether to wait for the block (dumpFrom near
      * the frontier), or whether it is a transient abandoned read
      * (dump) or permanently overwritten data (dumpFrom at a lapped
      * position).
      */
     BlockReadStatus readBlock(uint64_t phys, uint64_t window_start,
-                              uint64_t window_end,
-                              std::vector<uint8_t> &scratch, Dump &out);
+                              uint64_t window_end, Dump &out);
 
     BTraceConfig cfg;
     std::size_t cap;           //!< block capacity bytes (= cfg.blockSize)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Speculative consumer (§4.3): copy a block optimistically with
- * relaxed atomic word loads, then re-validate the block header and the
- * metadata; abandon the block on any sign of concurrent overwrite.
+ * Speculative consumer (§4.3): parse a block in place with relaxed
+ * atomic word loads, then re-validate the block header and the
+ * metadata; abandon the block, and drop what the parse appended, on
+ * any sign of concurrent overwrite.
  */
 
 #include <algorithm>
@@ -28,8 +29,7 @@ loadSharedWord(const uint8_t *src)
 
 BlockReadStatus
 BTrace::readBlock(uint64_t phys, uint64_t window_start,
-                  uint64_t window_end, std::vector<uint8_t> &scratch,
-                  Dump &out)
+                  uint64_t window_end, Dump &out)
 {
     const uint8_t *src = blockData(phys);
 
@@ -82,21 +82,33 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
 
     // readable is a sum of 8-byte-aligned entry sizes in any healthy
     // state; a torn or corrupted metadata word must degrade to a short
-    // read, never to the word-copy loop writing past scratch's end.
-    const std::size_t copy_len = readable & ~std::size_t(7);
-    if (copy_len < EntryLayout::blockHeaderBytes)
+    // parse that stays inside the block, never to whole words read
+    // past its end.
+    const std::size_t parse_len =
+        std::min(readable, cap) & ~std::size_t(7);
+    if (parse_len < EntryLayout::blockHeaderBytes)
         return BlockReadStatus::Unreadable;  // corrupt; nothing parseable
-    if (scratch.size() < copy_len)
-        scratch.resize(copy_len);
-    for (std::size_t w = 0; w < copy_len; w += 8) {
-        const uint64_t word = loadSharedWord(src + w);
-        std::memcpy(scratch.data() + w, &word, 8);
+
+    // Parse in place, straight into the caller's dump. Writers may be
+    // overwriting the block meanwhile: the cursor reads only relaxed
+    // atomic words and bounds every entry by parse_len, so at worst it
+    // decodes garbage, which the re-validation below throws away.
+    const std::size_t before = out.entries.size();
+    EntryCursor cursor(src + EntryLayout::blockHeaderBytes,
+                       parse_len - EntryLayout::blockHeaderBytes);
+    EntryView view;
+    while (cursor.next(view)) {
+        if (view.type != EntryType::Normal)
+            continue;
+        out.entries.push_back(DumpEntry{view.stamp, view.size, view.core,
+                                        view.thread, view.category,
+                                        view.payloadOk});
     }
     std::atomic_thread_fence(std::memory_order_acquire);
 
-    // Critical window: the speculative copy is complete but not yet
+    // Critical window: the speculative parse is complete but not yet
     // validated; any concurrent write to this block must now be
-    // detected and the copy abandoned (§4.3).
+    // detected and the parsed entries dropped (§4.3).
     BTRACE_TEST_YIELD(ReadPostCopy);
 
     // Re-validate: same header, and for current-round blocks the same
@@ -114,30 +126,13 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
             valid = alloc2.rnd == rnd && alloc2.pos == conf.pos;
         }
     }
-    if (!valid)
+    // Discard the whole block if it changed under the parse or its
+    // tiling is broken (conservative: a torn block must never
+    // contaminate the dump).
+    if (!valid || cursor.malformed()) {
+        out.entries.resize(before);
         return BlockReadStatus::Abandoned;
-
-    // Parse the copy; discard the whole block if the tiling is broken
-    // (conservative: a torn block must never contaminate the dump).
-    EntryCursor cursor(scratch.data() + EntryLayout::blockHeaderBytes,
-                       copy_len - EntryLayout::blockHeaderBytes);
-    std::vector<DumpEntry> parsed;
-    EntryView view;
-    while (cursor.next(view)) {
-        if (view.type != EntryType::Normal)
-            continue;
-        DumpEntry e;
-        e.stamp = view.stamp;
-        e.size = view.size;
-        e.core = view.core;
-        e.thread = view.thread;
-        e.category = view.category;
-        e.payloadOk = view.payloadOk;
-        parsed.push_back(e);
     }
-    if (cursor.malformed())
-        return BlockReadStatus::Abandoned;
-    out.entries.insert(out.entries.end(), parsed.begin(), parsed.end());
     return BlockReadStatus::Data;
 }
 
@@ -153,10 +148,10 @@ BTrace::dump()
     return dumpFrom(fresh, opts);
 }
 
-Dump
-BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
+void
+BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
 {
-    Dump out;
+    out.reset();
     EpochRegistry::Guard guard(consumers);
 
     const RatioPos g =
@@ -177,7 +172,12 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
     // caller sees the data loss instead of a silent cursor jump.
     if (!peek && window_start > cursor.position)
         out.overwrittenPositions = window_start - cursor.position;
-    uint64_t q = std::max(cursor.position, window_start);
+    // Positions below numActive are the synthetic round 0 that no
+    // advancement ever hands out: nothing to read, and no loss either.
+    // Touching them would fault in numActive never-written pages of a
+    // young arena on every snapshot.
+    uint64_t q = std::max({cursor.position, window_start,
+                           uint64_t(numActive)});
 
     // Whether to stop at position p, and resume there next pass, when
     // its block cannot be read yet: only near the frontier, where an
@@ -189,7 +189,6 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
         return !opts.lastPass && window_end - p <= 2 * numActive;
     };
 
-    std::vector<uint8_t> scratch(cap);
     double close_cost = 0.0;
     for (; q < window_end; ++q) {
         const std::size_t meta_idx = q % numActive;
@@ -236,8 +235,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
             }
         }
 
-        const BlockReadStatus r =
-            readBlock(physicalOf(q), q, q + 1, scratch, out);
+        const BlockReadStatus r = readBlock(physicalOf(q), q, q + 1, out);
         if (r == BlockReadStatus::Data || r == BlockReadStatus::Skipped)
             continue;
 
@@ -260,7 +258,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
         }
 
         // The block for q yielded nothing (vanished header, header
-        // from another lap, or a copy invalidated mid-read). If the
+        // from another lap, or a parse invalidated mid-read). If the
         // producers have lapped q by now — the head moved a full
         // buffer past it while this dump was in flight — the data is
         // permanently gone and belongs in overwrittenPositions, the
@@ -279,7 +277,6 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
         journalEmit(JournalEventKind::ConsumerPass,
                     EventJournal::kNoCore, q, out.entries.size());
     cursor.position = q;
-    return out;
 }
 
 Dump

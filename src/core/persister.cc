@@ -35,21 +35,21 @@ TracePersister::run()
     const auto interval = std::chrono::duration<double>(
         opt.pollIntervalSec);
     while (!stopping.load(std::memory_order_acquire)) {
-        const Dump d = tracer.dumpFrom(
-            cursor, DumpOptions{opt.closeActive, false});
-        append(d.entries);
+        persistPass(DumpOptions{opt.closeActive, false});
         std::this_thread::sleep_for(interval);
     }
 }
 
 void
-TracePersister::append(const std::vector<DumpEntry> &entries)
+TracePersister::persistPass(const DumpOptions &opts)
 {
-    if (entries.empty())
+    tracer.dumpFrom(cursor, opts, pass);
+    if (pass.entries.empty())
         return;
-    if (Status st = appendTraceRecords(fd, entries); !st.ok())
+    if (Status st = appendTraceRecords(fd, pass.entries, records);
+        !st.ok())
         BTRACE_FATAL("short write to persistence file");
-    persisted.fetch_add(entries.size(), std::memory_order_acq_rel);
+    persisted.fetch_add(pass.entries.size(), std::memory_order_acq_rel);
 }
 
 void
@@ -62,9 +62,7 @@ TracePersister::stop()
         worker.join();
     // Final poll with close-on-read so the newest entries land too;
     // the last one, so it walks past blocks a writer still holds.
-    const Dump d =
-        tracer.dumpFrom(cursor, DumpOptions{true, false, true});
-    append(d.entries);
+    persistPass(DumpOptions{true, false, true});
     ::close(fd);
     fd = -1;
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "trace/trace_file.h"
 #include "trace/tracer.h"
 
 namespace btrace {
@@ -77,7 +78,8 @@ class TracePersister
 
   private:
     void run();
-    void append(const std::vector<DumpEntry> &entries);
+    /** One dumpFrom pass with @p opts, appended to the file. */
+    void persistPass(const DumpOptions &opts);
 
     Tracer &tracer;
     PersisterOptions opt;
@@ -85,6 +87,8 @@ class TracePersister
     std::atomic<bool> stopping{false};
     std::atomic<uint64_t> persisted{0};
     DumpCursor cursor;
+    Dump pass;                             //!< reused across passes
+    std::vector<TraceDiskRecord> records;  //!< encode buffer, reused
     int fd = -1;
     std::thread worker;
 };

@@ -127,50 +127,76 @@ ConsumerDaemon::rotateIfNeeded()
 }
 
 Status
-ConsumerDaemon::drainLocked(const Dump &d,
+ConsumerDaemon::drainLocked(const DumpOptions &opts,
                             std::vector<uint32_t> &fresh)
 {
+    sess->dumpFrom(cursor, opts, pass);
+    const Dump &d = pass;
     const bool sawLoss = d.overwrittenPositions != 0 ||
                          d.skippedBlocks != 0 ||
                          d.abandonedBlocks != 0;
     if (!d.entries.empty()) {
-        // Records first, header second: a crash between the two
-        // leaves the header *undercounting*, which the offline reader
-        // reconciles (declared < scanned), never overcounting.
-        if (Status s = appendTraceRecords(segFd, d.entries); !s.ok())
-            return s;
-        segBytes += d.entries.size() * sizeof(TraceDiskRecord);
-
+        // One walk encodes every record and folds its accounting into
+        // pass-local state: a header copy, the lag batch, one tally
+        // per run of a writer's consecutive records. None of it is
+        // committed before the records are on disk, so a failed write
+        // leaves every counter as it was.
         const uint64_t now = wallClockNs();
-        if (segHdr.firstDrainUnixNs == 0)
-            segHdr.firstDrainUnixNs = now;
-        segHdr.lastDrainUnixNs = now;
-
+        SegmentHeaderV2 hdr = segHdr;
+        uint64_t payload = 0, sampled = 0, clamped = 0, unstamped = 0;
         uint64_t newestStamp = 0;
+        recordBuf.clear();
+        runs.clear();
         for (const DumpEntry &e : d.entries) {
-            segHdr.noteEntry(e);
-            st.payloadBytes += e.size;
-            ProducerTally &tally = producers[e.thread];
-            if (tally.records == 0 && tally.payloadBytes == 0)
-                fresh.push_back(e.thread);
-            ++tally.records;
-            tally.payloadBytes += e.size;
+            recordBuf.push_back(TraceDiskRecord::fromEntry(e));
+            hdr.noteEntry(e);
+            payload += e.size;
+            if (runs.empty() || runs.back().first != e.thread)
+                runs.emplace_back(e.thread, ProducerTally{});
+            ++runs.back().second.records;
+            runs.back().second.payloadBytes += e.size;
             if (e.stamp >= kWallClockStampFloorNs) {
                 if (now >= e.stamp) {
-                    drainLag.add(now - e.stamp);
-                    ++st.lagSampledRecords;
+                    lagBatch.add(now - e.stamp);
+                    ++sampled;
                 } else {
                     // Drained before its own stamp: the wall clock
                     // stepped back between record and drain. A
                     // negative lag is garbage — keep it out of the
                     // histogram and count the clamp instead.
-                    ++st.drainLagClamped;
+                    ++clamped;
                 }
                 if (e.stamp > newestStamp)
                     newestStamp = e.stamp;
             } else {
-                ++st.lagUnstampedRecords;
+                ++unstamped;
             }
+        }
+
+        // Records first, header second: a crash between the two
+        // leaves the header *undercounting*, which the offline reader
+        // reconciles (declared < scanned), never overcounting.
+        if (Status s = writeTraceRecords(segFd, recordBuf); !s.ok()) {
+            lagBatch.clear();
+            return s;
+        }
+        segBytes += recordBuf.size() * sizeof(TraceDiskRecord);
+
+        if (hdr.firstDrainUnixNs == 0)
+            hdr.firstDrainUnixNs = now;
+        hdr.lastDrainUnixNs = now;
+        segHdr = hdr;
+        st.payloadBytes += payload;
+        st.lagSampledRecords += sampled;
+        st.drainLagClamped += clamped;
+        st.lagUnstampedRecords += unstamped;
+        drainLag.merge(lagBatch);
+        for (const auto &[thread, run] : runs) {
+            ProducerTally &tally = producers[thread];
+            if (tally.records == 0 && tally.payloadBytes == 0)
+                fresh.push_back(thread);
+            tally.records += run.records;
+            tally.payloadBytes += run.payloadBytes;
         }
         if (newestStamp != 0)
             lastLagNs = now > newestStamp ? now - newestStamp : 0;
@@ -203,11 +229,11 @@ ConsumerDaemon::drainOnce()
             return errInvalidArgument("daemon already stopped");
         if (Status s = rotateIfNeeded(); !s.ok())
             return s;
-        const Dump d =
-            sess->dumpFrom(cursor, DumpOptions{opt.closeActive, false});
-        if (Status s = drainLocked(d, fresh); !s.ok())
+        if (Status s = drainLocked(DumpOptions{opt.closeActive, false},
+                                   fresh);
+            !s.ok())
             return s;
-        n = uint64_t(d.entries.size());
+        n = uint64_t(pass.entries.size());
         reg = metricsReg;
     }
     // Outside mu: MetricsRegistry::collect() holds the registry lock
@@ -271,9 +297,7 @@ ConsumerDaemon::stop()
         // Final close-active drain so the tail of every open block
         // lands, then finalize the segment as cleanly closed. No pass
         // follows, so it must not stop at a block a writer still holds.
-        const Dump d =
-            sess->dumpFrom(cursor, DumpOptions{true, false, true});
-        (void)drainLocked(d, fresh);
+        (void)drainLocked(DumpOptions{true, false, true}, fresh);
         finalizeSegmentLocked();
         ::close(segFd);
         segFd = -1;

@@ -24,7 +24,8 @@
  *
  * Freshness (DESIGN.md §13): for records whose stamps are wall-clock
  * nanoseconds (>= kWallClockStampFloorNs), every drain feeds
- * record-stamp → drain-time lag into a ConcurrentHistogram and tracks
+ * record-stamp → drain-time lag into a ConcurrentHistogram (merged
+ * once per pass from a plain per-pass batch) and tracks
  * the newest-record lag of the latest pass; logical stamps are
  * counted as unstamped instead of polluting the histogram, and
  * records drained before their own stamp (wall-clock step-back) are
@@ -42,6 +43,8 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/latency_histogram.h"
 #include "common/status.h"
@@ -189,8 +192,12 @@ class ConsumerDaemon
     Status openSegment();
     Status rotateIfNeeded();
     void finalizeSegmentLocked();
-    /** Append + account one dump; new producer ids land in @p fresh. */
-    Status drainLocked(const Dump &d, std::vector<uint32_t> &fresh);
+    /**
+     * One dumpFrom pass with @p opts, appended and accounted to the
+     * open segment; new producer ids land in @p fresh.
+     */
+    Status drainLocked(const DumpOptions &opts,
+                       std::vector<uint32_t> &fresh);
     void exportProducers(const std::vector<uint32_t> &ids,
                          MetricsRegistry *registry);
     void run();
@@ -204,6 +211,14 @@ class ConsumerDaemon
     std::size_t segBytes = 0;    //!< payload bytes in the open segment
     SegmentHeaderV2 segHdr;      //!< accumulated header, mirrored on disk
     DumpCursor cursor;
+
+    // Per-pass working set, kept across passes so a warm drain
+    // allocates nothing (all guarded by mu).
+    Dump pass;                            //!< the latest dumpFrom
+    std::vector<TraceDiskRecord> recordBuf;  //!< its encoded records
+    /** Per-writer tallies of the pass, one per run of a writer. */
+    std::vector<std::pair<uint32_t, ProducerTally>> runs;
+    HistogramBatch lagBatch;              //!< the pass's drain lags
 
     mutable std::mutex mu;       //!< serializes drains vs stop()
     DaemonStats st;

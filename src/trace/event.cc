@@ -7,9 +7,10 @@ namespace btrace {
 namespace {
 
 // Blocks are written by producers while consumers read them
-// speculatively (§4.3). All word accesses go through relaxed atomics
-// so the seqlock-style validation is race-free; torn *logical* content
-// is caught by the post-copy metadata/header re-check.
+// speculatively (§4.3), and EntryCursor parses those shared blocks in
+// place. All accesses are whole-word relaxed atomics, so the
+// seqlock-style validation is race-free; torn *logical* content is
+// caught by the consumer's post-parse metadata/header re-check.
 
 void
 storeWord(uint8_t *dst, uint64_t word)
@@ -24,6 +25,31 @@ loadWord(const uint8_t *src)
     return std::atomic_ref<const uint64_t>(
                *reinterpret_cast<const uint64_t *>(src))
         .load(std::memory_order_relaxed);
+}
+
+constexpr uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+constexpr uint64_t kHigh = 0x8080808080808080ull;
+
+/**
+ * payloadByte(stamp, 8 * k + b) for b = 0..7, packed the way
+ * writeNormal packs a payload word (byte b at bits 8b). Each byte is
+ * base + 7b mod 256; the byte-wise add keeps carries inside a byte
+ * (the offsets are below 0x80).
+ */
+uint64_t
+payloadWord(uint64_t stamp, std::size_t k)
+{
+    const uint64_t b =
+        uint64_t(payloadByte(stamp, 8 * k)) * 0x0101010101010101ull;
+    constexpr uint64_t offsets = 0x312a231c150e0700ull;  // 7b per byte
+    return ((b & kLow7) + offsets) ^ (b & kHigh);
+}
+
+/** High bit set in exactly the bytes of @p v that are nonzero. */
+uint64_t
+nonzeroBytes(uint64_t v)
+{
+    return (((v & kLow7) + kLow7) | v) & kHigh;
 }
 
 } // namespace
@@ -113,19 +139,21 @@ EntryCursor::next(EntryView &out)
         const Origin origin = Origin::unpack(loadWord(cur + 16));
         out.core = origin.core;
         out.thread = origin.thread;
-        out.payloadOk = true;
         const uint8_t *payload = cur + EntryLayout::normalHeaderBytes;
         const std::size_t padded =
             desc.size - EntryLayout::normalHeaderBytes;
         // Verify up to the first 16 payload bytes; enough to catch torn
-        // or stale data without a full re-hash on every dump.
-        const std::size_t check = padded < 16 ? padded : 16;
-        for (std::size_t i = 0; i < check; ++i) {
-            if (payload[i] != payloadByte(out.stamp, i) && payload[i] != 0) {
-                out.payloadOk = false;
-                break;
-            }
+        // or stale data without a full re-hash on every dump. A byte
+        // passes when it matches the pattern or is zero (padding), so
+        // a word fails iff some byte both differs and is nonzero.
+        const std::size_t words = padded < 16 ? padded / 8 : 2;
+        uint64_t bad = 0;
+        for (std::size_t k = 0; k < words; ++k) {
+            const uint64_t w = loadWord(payload + 8 * k);
+            bad |= nonzeroBytes(w ^ payloadWord(out.stamp, k)) &
+                   nonzeroBytes(w);
         }
+        out.payloadOk = bad == 0;
         break;
       }
       case EntryType::Dummy:

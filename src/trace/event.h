@@ -144,7 +144,10 @@ struct EntryView
 /**
  * Sequential decoder over a byte range holding packed entries.
  * Returns false from next() at end of range or on malformed data
- * (malformed() tells which).
+ * (malformed() tells which). Every read is a relaxed atomic load of
+ * one aligned word, so the range may be a block producers are writing
+ * concurrently (the consumer parses in place, §4.3); the caller
+ * re-validates the block before trusting what was decoded.
  */
 class EntryCursor
 {

@@ -58,18 +58,31 @@ updateSegmentHeaderV2(int fd, const SegmentHeaderV2 &hdr)
 }
 
 Status
-appendTraceRecords(int fd, const std::vector<DumpEntry> &entries)
+writeTraceRecords(int fd, const std::vector<TraceDiskRecord> &records)
 {
-    if (entries.empty())
+    if (records.empty())
         return Status();
-    std::vector<TraceDiskRecord> records;
-    records.reserve(entries.size());
-    for (const DumpEntry &e : entries)
-        records.push_back(TraceDiskRecord::fromEntry(e));
     const auto bytes = records.size() * sizeof(TraceDiskRecord);
     if (::write(fd, records.data(), bytes) != ssize_t(bytes))
         return errIo("short write appending trace records");
     return Status();
+}
+
+Status
+appendTraceRecords(int fd, const std::vector<DumpEntry> &entries,
+                   std::vector<TraceDiskRecord> &buf)
+{
+    buf.clear();
+    for (const DumpEntry &e : entries)
+        buf.push_back(TraceDiskRecord::fromEntry(e));
+    return writeTraceRecords(fd, buf);
+}
+
+Status
+appendTraceRecords(int fd, const std::vector<DumpEntry> &entries)
+{
+    std::vector<TraceDiskRecord> buf;
+    return appendTraceRecords(fd, entries, buf);
 }
 
 Expected<SegmentInfo>
@@ -109,23 +122,38 @@ readSegment(const std::string &path, bool strict)
         return errCorruption("not a btrace trace file: " + path);
     }
 
-    TraceDiskRecord rec;
+    // Records in large chunks, not one read(2) each. A record cut by
+    // a chunk boundary carries over to the front of the next chunk;
+    // what is still carried at end of file is the torn tail.
+    std::vector<uint8_t> chunk(kSegmentReadChunkBytes);
+    std::size_t carried = 0;
+    bool failed = false;
     for (;;) {
-        const ssize_t got = ::read(fd, &rec, sizeof(rec));
-        if (got == 0)
+        const ssize_t got = ::read(fd, chunk.data() + carried,
+                                   chunk.size() - carried);
+        if (got <= 0) {
+            failed = got < 0;
             break;
-        if (got != ssize_t(sizeof(rec))) {
-            ::close(fd);
-            if (strict)
-                return errCorruption(
-                    "torn trace record at the end of " + path);
-            info.torn = true;
-            info.tornTailBytes = got > 0 ? uint64_t(got) : 0;
-            return Expected<SegmentInfo>(std::move(info));
         }
-        info.entries.push_back(rec.toEntry());
+        const std::size_t have = carried + std::size_t(got);
+        std::size_t off = 0;
+        for (; have - off >= sizeof(TraceDiskRecord);
+             off += sizeof(TraceDiskRecord)) {
+            TraceDiskRecord rec;
+            std::memcpy(&rec, chunk.data() + off, sizeof(rec));
+            info.entries.push_back(rec.toEntry());
+        }
+        carried = have - off;
+        std::memmove(chunk.data(), chunk.data() + off, carried);
     }
     ::close(fd);
+    if (carried != 0 || failed) {
+        if (strict)
+            return errCorruption("torn trace record at the end of " +
+                                 path);
+        info.torn = true;
+        info.tornTailBytes = carried;
+    }
     return Expected<SegmentInfo>(std::move(info));
 }
 

@@ -155,8 +155,26 @@ Status writeSegmentHeaderV2(int fd, SegmentHeaderV2 &hdr);
  */
 Status updateSegmentHeaderV2(int fd, const SegmentHeaderV2 &hdr);
 
-/** Append @p entries as records to @p fd; short writes are IoError. */
+/** Append @p records to @p fd in one write(2); short writes are IoError. */
+Status writeTraceRecords(int fd,
+                         const std::vector<TraceDiskRecord> &records);
+
+/**
+ * Append @p entries as records to @p fd, encoded into @p buf (its
+ * contents are replaced; a caller that keeps it across calls reuses
+ * its capacity). Short writes are IoError.
+ */
+Status appendTraceRecords(int fd, const std::vector<DumpEntry> &entries,
+                          std::vector<TraceDiskRecord> &buf);
+
+/** appendTraceRecords through a one-off buffer. */
 Status appendTraceRecords(int fd, const std::vector<DumpEntry> &entries);
+
+/**
+ * readSegment reads records in chunks of this many bytes — not a
+ * multiple of the record size, so a record may straddle two chunks.
+ */
+constexpr std::size_t kSegmentReadChunkBytes = 64 * 1024;
 
 /** One decoded segment file: declared header (v2) plus the scan. */
 struct SegmentInfo

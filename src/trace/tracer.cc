@@ -49,8 +49,8 @@ Tracer::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
     return l;
 }
 
-Dump
-Tracer::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
+void
+Tracer::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
 {
     (void)opts;
     // Trivial full-snapshot cursor: re-dump and keep entries above the
@@ -68,7 +68,7 @@ Tracer::dumpFrom(DumpCursor &cursor, const DumpOptions &opts)
     }
     d.entries.erase(keep, d.entries.end());
     cursor.position = high;
-    return d;
+    out = std::move(d);
 }
 
 bool

@@ -106,6 +106,17 @@ struct Dump
      * kept up.
      */
     uint64_t overwrittenPositions = 0;
+
+    /** Empty for reuse: no entries (capacity kept), counters zero. */
+    void
+    reset()
+    {
+        entries.clear();
+        skippedBlocks = 0;
+        abandonedBlocks = 0;
+        unreadableBlocks = 0;
+        overwrittenPositions = 0;
+    }
 };
 
 /**
@@ -297,6 +308,7 @@ class Lease
 class Tracer
 {
   public:
+    /** @p model is copied: callers may pass a temporary. */
     explicit Tracer(const CostModel &model = CostModel::def())
         : costs(model) {}
     virtual ~Tracer() = default;
@@ -350,16 +362,28 @@ class Tracer
     virtual Dump dump() = 0;
 
     /**
-     * Incremental consumer read: return entries that appeared since
-     * the last call with the same @p cursor, advancing the cursor.
-     * @p opts selects close-on-read or snapshot-peek behavior for
-     * tracers that support it (BTrace). The base implementation is a
-     * trivial full-snapshot cursor — dump() filtered to stamps above
-     * the cursor's high-water mark — so callers can stream from any
-     * tracer without special-casing BTrace.
+     * Incremental consumer read: fill @p out with the entries that
+     * appeared since the last call with the same @p cursor, advancing
+     * the cursor. Whatever @p out held is replaced; BTrace reuses its
+     * entry capacity (Dump::reset), so a consumer that keeps one Dump
+     * across passes stops allocating once it is warm. @p opts
+     * selects close-on-read or snapshot-peek behavior for tracers that
+     * support it (BTrace). The base implementation is a trivial
+     * full-snapshot cursor — dump() filtered to stamps above the
+     * cursor's high-water mark — so callers can stream from any tracer
+     * without special-casing BTrace.
      */
-    virtual Dump dumpFrom(DumpCursor &cursor,
-                          const DumpOptions &opts = {});
+    virtual void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
+                          Dump &out);
+
+    /** dumpFrom into a fresh Dump, returned by value. */
+    Dump
+    dumpFrom(DumpCursor &cursor, const DumpOptions &opts = {})
+    {
+        Dump out;
+        dumpFrom(cursor, opts, out);
+        return out;
+    }
 
     /**
      * Convenience blocking write: allocate (spinning on Retry, with
@@ -524,7 +548,7 @@ class Tracer
         l.costNs += ns;
     }
 
-    const CostModel &costs;
+    const CostModel costs;
 
   private:
     std::atomic<TracerObserver *> observer{nullptr};

@@ -239,4 +239,34 @@ TEST(LatencyHistogram, SnapshotMerge)
     EXPECT_GE(sa.quantile(1.0), 960u);
 }
 
+TEST(HistogramBatch, MergeEqualsPerValueAdd)
+{
+    ConcurrentHistogram perValue, merged;
+    HistogramBatch batch;
+    Prng rng(77);
+    // Exact buckets, log-linear octaves and the overflow bucket.
+    for (int pass = 0; pass < 8; ++pass) {
+        for (int i = 0; i < 500; ++i) {
+            const uint64_t v = rng.next() >> rng.nextBounded(64);
+            perValue.add(v);
+            batch.add(v);
+        }
+        perValue.add(UINT64_MAX);
+        batch.add(UINT64_MAX);
+        merged.merge(batch);
+        EXPECT_TRUE(batch.empty());
+    }
+    // A cleared batch and an empty one add nothing.
+    batch.add(12345);
+    batch.clear();
+    merged.merge(batch);
+
+    const HistogramSnapshot a = perValue.snapshot();
+    const HistogramSnapshot b = merged.snapshot();
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.total, b.total);
+    EXPECT_EQ(a.sum, b.sum);
+    EXPECT_EQ(b.total, 8u * 501u);
+}
+
 } // namespace

@@ -77,18 +77,16 @@ class BTraceInspector
     }
 
     /**
-     * Direct call into the private speculative reader, with a caller-
-     * controlled scratch buffer (regression surface for the scratch
-     * sizing contract). Classifies Unreadable and Abandoned outcomes
-     * the way dump() does.
+     * Direct call into the private speculative reader (regression
+     * surface for its bounds on torn metadata). Classifies Unreadable
+     * and Abandoned outcomes the way dump() does.
      */
     BlockReadStatus
     readBlockRaw(uint64_t phys, uint64_t window_start,
-                 uint64_t window_end, std::vector<uint8_t> &scratch,
-                 Dump &out)
+                 uint64_t window_end, Dump &out)
     {
         const BlockReadStatus r =
-            bt.readBlock(phys, window_start, window_end, scratch, out);
+            bt.readBlock(phys, window_start, window_end, out);
         if (r == BlockReadStatus::Unreadable)
             ++out.unreadableBlocks;
         if (r == BlockReadStatus::Abandoned)

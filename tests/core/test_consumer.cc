@@ -170,9 +170,8 @@ TEST(Consumer, DumpSinceReportsOverwrittenPositions)
 TEST(Consumer, TornConfirmedCountNeverOverrunsScratch)
 {
     // Regression: a non-8-multiple Confirmed count (torn or corrupted
-    // metadata word) must degrade to a short read; the word-copy loop
-    // used to resize scratch to the odd length and then copy past its
-    // end in whole words.
+    // metadata word) must degrade to a short read that stays inside
+    // the rounded-down length, never to whole words read past it.
     BTrace bt(smallConfig());
     ASSERT_TRUE(bt.record(0, 1, 1, 16));
 
@@ -185,15 +184,51 @@ TEST(Consumer, TornConfirmedCountNeverOverrunsScratch)
     const RndPos odd{conf.rnd, conf.pos - 4};
     insp.seedMetadata(m, odd, odd);  // alloc == conf: looks readable
 
-    std::vector<uint8_t> scratch;  // empty: forces the exact-size resize
     Dump out;
-    insp.readBlockRaw(insp.physicalOf(pos), pos, pos + 1, scratch, out);
+    insp.readBlockRaw(insp.physicalOf(pos), pos, pos + 1, out);
 
-    // The truncated copy cannot parse into whole entries; the block
-    // must be discarded, not returned torn (and not overrun scratch —
-    // ASan enforces that part).
+    // The truncated range cannot parse into whole entries; the block
+    // must be discarded, not returned torn.
     EXPECT_TRUE(out.entries.empty());
     EXPECT_EQ(out.abandonedBlocks + out.unreadableBlocks, 1u);
+}
+
+TEST(Consumer, ReusedDumpHoldsOnlyTheNewPass)
+{
+    BTrace bt(smallConfig());
+    for (uint64_t s = 1; s <= 5; ++s)
+        ASSERT_TRUE(bt.record(0, 1, s, 16));
+
+    // A dump still holding an earlier pass's entries and loss counts.
+    Dump d;
+    d.entries.assign(100, DumpEntry{999, 8, 3, 3, 3, false});
+    d.skippedBlocks = 7;
+    d.abandonedBlocks = 7;
+    d.unreadableBlocks = 7;
+    d.overwrittenPositions = 7;
+    const std::size_t capacity = d.entries.capacity();
+
+    DumpCursor cursor;
+    const DumpOptions opts{true, false};
+    bt.dumpFrom(cursor, opts, d);
+    std::vector<uint64_t> stamps;
+    for (const DumpEntry &e : d.entries)
+        stamps.push_back(e.stamp);
+    EXPECT_EQ(stamps, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(d.skippedBlocks, 0u);
+    EXPECT_EQ(d.abandonedBlocks, 0u);
+    EXPECT_EQ(d.unreadableBlocks, 0u);
+    EXPECT_EQ(d.overwrittenPositions, 0u);
+    EXPECT_EQ(d.entries.capacity(), capacity);  // reused, not reallocated
+
+    // Nothing new: the next pass into the same dump comes back empty.
+    bt.dumpFrom(cursor, opts, d);
+    EXPECT_TRUE(d.entries.empty());
+
+    ASSERT_TRUE(bt.record(0, 1, 6, 16));
+    bt.dumpFrom(cursor, opts, d);
+    ASSERT_EQ(d.entries.size(), 1u);
+    EXPECT_EQ(d.entries[0].stamp, 6u);
 }
 
 TEST(Consumer, ManyConcurrentDumpGuardsAllowed)

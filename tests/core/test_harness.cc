@@ -186,6 +186,51 @@ TEST(Harness, AbandonedReadForced)
     expectAuditClean(bt);
 }
 
+// The reader parses each block in place, straight into the dump, and
+// re-validates afterwards. A block invalidated after its parse must
+// take back exactly the entries that parse appended; the block read
+// before it keeps its own.
+TEST(Harness, InvalidatedBlockDropsOnlyItsOwnParsedEntries)
+{
+    BTrace bt(tinyConfig(2, 4, 8));
+    BTraceInspector insp(bt);
+    ASSERT_TRUE(bt.record(0, 1, 1, 16));
+    ASSERT_TRUE(bt.record(0, 1, 2, 16));
+    ASSERT_TRUE(bt.record(1, 2, 3, 16));
+    ASSERT_LT(insp.coreWord(0).pos, insp.coreWord(1).pos);
+
+    PreemptionInjector inj;
+    inj.armPark(YieldPoint::ReadPostCopy);
+    Dump d;
+    std::thread reader([&] { d = bt.dump(); });
+    ASSERT_TRUE(inj.awaitParked(YieldPoint::ReadPostCopy));
+
+    // Core 0's block is parsed; let it validate and trap core 1's.
+    inj.armPark(YieldPoint::ReadPostCopy);
+    inj.release(YieldPoint::ReadPostCopy);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inj.hits(YieldPoint::ReadPostCopy) < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    ASSERT_TRUE(inj.awaitParked(YieldPoint::ReadPostCopy));
+
+    // Invalidate the second block after its parse.
+    ASSERT_TRUE(bt.record(1, 2, 4, 16));
+
+    inj.release(YieldPoint::ReadPostCopy);
+    reader.join();
+
+    EXPECT_EQ(d.abandonedBlocks, 1u);
+    std::vector<uint64_t> stamps;
+    for (const DumpEntry &e : d.entries)
+        stamps.push_back(e.stamp);
+    EXPECT_EQ(stamps, (std::vector<uint64_t>{1, 2}));
+
+    EXPECT_EQ(bt.dump().entries.size(), 4u);
+    expectAuditClean(bt);
+}
+
 // Wrap/lap boundary of the incremental read: a block overwritten by a
 // full producer lap while the dump is parked between its speculative
 // copy and the re-validation is permanently lost data. It must be

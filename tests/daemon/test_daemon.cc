@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -417,6 +418,97 @@ TEST_F(DaemonTest, SegmentHeaderV2CarriesProvenance)
     EXPECT_EQ(h.categoryRecords[2], 13u);
     // The declared totals reconcile exactly with the scan.
     EXPECT_EQ(h.recordCount, seg.value().entries.size());
+}
+
+// The drain encodes and accounts each record in one walk. What lands
+// on disk must be exactly what the codec makes of the same entries:
+// each record TraceDiskRecord::fromEntry of its entry, byte for byte,
+// and the header's tallies a noteEntry fold of them.
+TEST_F(DaemonTest, DrainedSegmentMatchesCodecOfTheSameEntries)
+{
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+    BTrace &bt = daemon.session().tracer();
+
+    // Several writers per core (so tallies see runs), wall-clock and
+    // logical stamps, categories past the 16 per-category slots.
+    const uint64_t wall = wallClockNs() - 1'000'000ull;
+    for (uint64_t k = 0; k < 60; ++k) {
+        const auto core = uint16_t(k % 3);
+        const auto thread = uint32_t(10 * core + (k / 7) % 2 + 1);
+        const uint64_t stamp = k % 2 ? wall + k : k + 1;
+        ASSERT_TRUE(bt.record(core, thread, stamp, uint32_t(k % 40),
+                              uint16_t(k % 20)));
+    }
+    const Dump want = bt.dump();  // the same blocks, read in place
+    ASSERT_EQ(want.entries.size(), 60u);
+    ASSERT_TRUE(daemon.drainOnce().ok());
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().entries, 60u);
+
+    const std::string path = daemonSegmentPath(dir, 0);
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(sizeof(uint64_t) + sizeof(SegmentHeaderV2));
+    SegmentHeaderV2 fold;
+    for (const DumpEntry &e : want.entries) {
+        const TraceDiskRecord expect = TraceDiskRecord::fromEntry(e);
+        TraceDiskRecord got;
+        ASSERT_TRUE(in.read(reinterpret_cast<char *>(&got), sizeof(got)));
+        EXPECT_EQ(std::memcmp(&got, &expect, sizeof(got)), 0)
+            << "record of stamp " << e.stamp;
+        fold.noteEntry(e);
+    }
+    EXPECT_FALSE(in.read(reinterpret_cast<char *>(&fold), 1));
+
+    auto seg = readSegment(path, true);
+    ASSERT_TRUE(seg.ok()) << seg.status().toString();
+    const SegmentHeaderV2 &h = seg.value().header;
+    EXPECT_EQ(h.recordCount, fold.recordCount);
+    EXPECT_EQ(h.payloadBytes, fold.payloadBytes);
+    EXPECT_EQ(h.minStamp, fold.minStamp);
+    EXPECT_EQ(h.maxStamp, fold.maxStamp);
+    for (std::size_t c = 0; c < kSegmentCategorySlots; ++c) {
+        EXPECT_EQ(h.categoryRecords[c], fold.categoryRecords[c]) << c;
+        EXPECT_EQ(h.categoryBytes[c], fold.categoryBytes[c]) << c;
+    }
+    EXPECT_EQ(h.otherCategoryRecords, fold.otherCategoryRecords);
+    EXPECT_EQ(h.otherCategoryBytes, fold.otherCategoryBytes);
+    EXPECT_GT(fold.otherCategoryRecords, 0u);
+}
+
+// Positions below activeBlocks are the synthetic round 0, which no
+// advancement hands out. A snapshot or a drain of a fresh shm arena
+// must not read them: every first-word read would fault in (and, on
+// shmem, allocate) a page of a block that was never written.
+TEST_F(DaemonTest, FreshShmArenaStaysUnresidentThroughDumpAndStop)
+{
+    BTraceConfig cfg = smallConfig(StorageKind::Shm);
+    cfg.blockSize = 4096;
+    cfg.numBlocks = 256;
+    cfg.activeBlocks = 64;
+    auto s = Session::create(cfg);
+    ASSERT_TRUE(s.ok()) << s.status().toString();
+    Session owner = s.take();
+    ASSERT_EQ(owner->residentBytes(), 0u);
+
+    EXPECT_TRUE(owner->dump().entries.empty());
+    EXPECT_EQ(owner->residentBytes(), 0u);
+
+    auto att = Session::attachFd(owner.shareFd());
+    ASSERT_TRUE(att.ok()) << att.status().toString();
+    DaemonOptions opts;
+    opts.outDir = dir;
+    auto d = ConsumerDaemon::make(att.take(), opts);
+    ASSERT_TRUE(d.ok()) << d.status().toString();
+    d.value()->stop();
+    EXPECT_EQ(d.value()->stats().entries, 0u);
+    EXPECT_EQ(owner->residentBytes(), 0u);
 }
 
 TEST_F(DaemonTest, RotationFinalizesEveryHeader)

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/prng.h"
 #include "trace/event.h"
 
 namespace btrace {
@@ -173,6 +174,59 @@ TEST(EntryCursor, ZeroBytesTreatedAsUnused)
     EntryView v;
     EXPECT_FALSE(cur.next(v));
     EXPECT_TRUE(cur.malformed());  // zeros are not valid entries
+}
+
+// The byte loop EntryCursor used before its word-wise check: the first
+// (up to) 16 payload bytes must each match the stamp's pattern or be
+// zero (padding).
+bool
+bytewisePayloadOk(const uint8_t *payload, std::size_t padded,
+                  uint64_t stamp)
+{
+    const std::size_t check = padded < 16 ? padded : 16;
+    for (std::size_t i = 0; i < check; ++i)
+        if (payload[i] != payloadByte(stamp, i) && payload[i] != 0)
+            return false;
+    return true;
+}
+
+TEST(EntryCursor, WordwisePayloadCheckMatchesByteLoop)
+{
+    Prng rng(0x5eed);
+    const std::size_t lens[] = {0, 1, 5, 8, 9, 12, 16, 17, 40};
+    uint64_t passed = 0, failed = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::size_t len = lens[rng.nextBounded(std::size(lens))];
+        const uint64_t stamp = rng.next();
+        std::vector<uint8_t> buf(EntryLayout::normalSize(len));
+        writeNormal(buf.data(), stamp, 1, 2, 3, len);
+
+        uint8_t *payload = buf.data() + EntryLayout::normalHeaderBytes;
+        const std::size_t padded =
+            buf.size() - EntryLayout::normalHeaderBytes;
+        const std::size_t checked = padded < 16 ? padded : 16;
+        const uint64_t hits = checked ? rng.nextBounded(4) : 0;
+        for (uint64_t h = 0; h < hits; ++h) {
+            uint8_t &b = payload[rng.nextBounded(checked)];
+            switch (rng.nextBounded(4)) {
+            case 0: b = 0; break;                       // reads as padding
+            case 1: b = uint8_t(rng.next()); break;     // any byte
+            case 2: b ^= uint8_t(1u << rng.nextBounded(8)); break;
+            default: b = payloadByte(stamp + 1, 0); break;  // stale
+            }
+        }
+
+        EntryCursor cur(buf.data(), buf.size());
+        EntryView v;
+        ASSERT_TRUE(cur.next(v));
+        const bool want = bytewisePayloadOk(payload, padded, stamp);
+        ASSERT_EQ(v.payloadOk, want)
+            << "len " << len << " stamp " << stamp;
+        ++(want ? passed : failed);
+    }
+    // Both verdicts must actually be exercised.
+    EXPECT_GT(passed, 1000u);
+    EXPECT_GT(failed, 1000u);
 }
 
 TEST(PayloadByte, DeterministicPerStamp)

@@ -215,6 +215,65 @@ TEST(SegmentCodec, TruncationMidRecordStrictVsLossy)
     std::remove(path.c_str());
 }
 
+// readSegment reads records in chunks whose size is not a multiple of
+// the record size. A segment spanning several chunks, whose torn tail
+// is itself cut by a chunk boundary, must still decode to exactly its
+// complete records plus the torn byte count (lossy), or Corruption
+// (strict).
+TEST(SegmentCodec, TornTailAcrossChunkBoundaryStrictVsLossy)
+{
+    constexpr std::size_t rec = sizeof(TraceDiskRecord);
+    std::size_t chunks = 2;
+    while (chunks * kSegmentReadChunkBytes % rec == 0)
+        ++chunks;
+    const std::size_t boundary = chunks * kSegmentReadChunkBytes;
+    const std::size_t whole = boundary / rec;  // records before the cut one
+    const std::size_t tail = rec - 1;          // bytes left of the cut one
+    ASSERT_LT(boundary - whole * rec, tail);   // the boundary falls inside
+
+    std::vector<DumpEntry> entries;
+    for (std::size_t k = 0; k <= whole; ++k)
+        entries.push_back(DumpEntry{
+            k + 1, uint32_t(24 + 8 * (k % 30)), uint16_t(k % 4),
+            uint32_t(k % 7 + 1), uint16_t(k % 20), k % 5 != 0});
+    const std::string path = testing::TempDir() + "v2_chunks.btrace";
+    writeV2Segment(path, entries);
+
+    const auto sameEntries = [&](const SegmentInfo &info,
+                                 std::size_t n) {
+        ASSERT_EQ(info.entries.size(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const DumpEntry &a = info.entries[k], &b = entries[k];
+            ASSERT_EQ(a.stamp, b.stamp) << k;
+            ASSERT_EQ(a.size, b.size) << k;
+            ASSERT_EQ(a.core, b.core) << k;
+            ASSERT_EQ(a.thread, b.thread) << k;
+            ASSERT_EQ(a.category, b.category) << k;
+            ASSERT_EQ(a.payloadOk, b.payloadOk) << k;
+        }
+    };
+    auto full = readSegment(path, /*strict=*/true);
+    ASSERT_TRUE(full.ok()) << full.status().toString();
+    EXPECT_FALSE(full.value().torn);
+    sameEntries(full.value(), whole + 1);
+
+    const off_t records = off_t(sizeof(uint64_t)) +
+                          off_t(sizeof(SegmentHeaderV2));
+    ASSERT_EQ(::truncate(path.c_str(),
+                         records + off_t(whole * rec + tail)),
+              0);
+    auto strict = readSegment(path, /*strict=*/true);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::Corruption);
+
+    auto lossy = readSegment(path, /*strict=*/false);
+    ASSERT_TRUE(lossy.ok()) << lossy.status().toString();
+    EXPECT_TRUE(lossy.value().torn);
+    EXPECT_EQ(lossy.value().tornTailBytes, tail);
+    sameEntries(lossy.value(), whole);
+    std::remove(path.c_str());
+}
+
 TEST(SegmentCodec, TruncationMidHeaderIsCorruptionBothModes)
 {
     const std::string path = testing::TempDir() + "v2_cut.btrace";
