@@ -140,31 +140,10 @@ class JsonWriter
     }
 
     void
-    field(const char *key, bool v)
-    {
-        item(key);
-        std::fputs(v ? "true" : "false", fp);
-    }
-
-    void
-    field(const char *key, const std::string &v)
-    {
-        item(key);
-        std::fprintf(fp, "\"%s\"", escaped(v).c_str());
-    }
-
-    void
     element(double v)
     {
         item(nullptr);
         std::fprintf(fp, "%.4f", v);
-    }
-
-    void
-    element(unsigned long long v)
-    {
-        item(nullptr);
-        std::fprintf(fp, "%llu", v);
     }
 
     void

@@ -40,16 +40,14 @@ main(int argc, char **argv)
             TracerFactoryOptions fo;  // 12 MB, 4 KB blocks, A = 16C
             auto tracer = makeTracer(kind, fo);
 
-            // With --obs-json, every run appends one labelled obs
-            // sample (counters, gauges, sampled write latency) so the
-            // whole table leaves a machine-readable health record.
-            TracerObserver observer;
+            // With --obs-json, every BTrace run appends one labelled
+            // obs sample (counters, gauges, health) so the whole table
+            // leaves a machine-readable health record.
             std::unique_ptr<BTraceObs> obs;
             std::unique_ptr<StatsSampler> sampler;
-            if (!args.obsJson.empty()) {
-                tracer->attachObserver(&observer);
-                if (auto *bt = dynamic_cast<BTrace *>(tracer.get()))
-                    obs = std::make_unique<BTraceObs>(*bt, &observer);
+            auto *bt = dynamic_cast<BTrace *>(tracer.get());
+            if (!args.obsJson.empty() && bt != nullptr) {
+                obs = std::make_unique<BTraceObs>(*bt);
                 SamplerOptions so;
                 so.intervalSec =
                     args.obsInterval > 0 ? args.obsInterval : 1.0;
@@ -59,13 +57,11 @@ main(int argc, char **argv)
                              {"tracer", row.tracer},
                              {"workload", w.name}};
                 obsAppend = true;
-                if (obs) {
-                    sampler = std::make_unique<StatsSampler>(
-                        obs->registry(), so);
-                    sampler->setHealthSource(
-                        [&obs]() { return obs->healthInput(); });
-                }
-                if (sampler && args.obsInterval > 0)
+                sampler = std::make_unique<StatsSampler>(
+                    obs->registry(), so);
+                sampler->setHealthSource(
+                    [&obs]() { return obs->healthInput(); });
+                if (args.obsInterval > 0)
                     sampler->start();
             }
 

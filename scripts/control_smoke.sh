@@ -14,7 +14,8 @@
 #     are present;
 #   - btrace_inspect --control decodes the arena's control page and
 #     shows both published snapshot versions;
-#   - a malformed control file maps to exit code 2 at startup.
+#   - a malformed control file maps to exit code 2 at startup and
+#     leaves neither an arena file nor an output directory behind.
 #
 # Usage: scripts/control_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -50,12 +51,13 @@ metric() {
          END { if (!found) print 0 }' "$METRICS"
 }
 
-echo "== 1. malformed control file maps to exit code 2"
+echo "== 1. malformed control file maps to exit code 2, creates nothing"
 printf 'sample_rate = 7.0\n' > "$CONTROL"
-"$BTRACED" --arena "$ARENA" --create --control-file "$CONTROL" \
-    --duration 1 2>/dev/null
+"$BTRACED" --arena "$ARENA" --create --out "$SEGS" \
+    --control-file "$CONTROL" --duration 1 2>/dev/null
 [ $? -eq 2 ] || fail "out-of-range sample_rate should exit 2"
-rm -f "$ARENA"
+[ ! -e "$ARENA" ] || fail "malformed control file left the arena behind"
+[ ! -e "$SEGS" ] || fail "malformed control file left $SEGS behind"
 
 echo "== 2. daemon creates the arena at sample_rate = 1.0"
 printf 'sample_rate = 1.0\n' > "$CONTROL"

@@ -2,26 +2,22 @@
 # Regenerate the full reproduction: build, tests, every experiment.
 # Outputs land in test_output.txt and bench_output.txt at the repo
 # root (the files referenced by EXPERIMENTS.md), and the bench result
-# files BENCH_main.json / BENCH_latency.json / BENCH_throughput.json
-# are pinned to the repo root with explicit output flags — not left to
-# whatever working directory a bench happens to inherit.
+# files BENCH_main.json / BENCH_latency.json are pinned to the repo
+# root — not left to whatever working directory a bench happens to
+# inherit.
 #
 # Any --obs-* argument (e.g. --obs-interval=0.5 --obs-json=obs.jsonl)
 # is forwarded to every bench binary, so one invocation produces the
 # observability stream alongside the results; the stream is then
-# schema-checked. --quick is forwarded too (CI-sized runs) and skips
-# the multi-minute contention sweep entirely — but a *full* run that
-# fails to produce BENCH_contention.json fails the script, same
-# missing-artifact contract as the other BENCH files. A bench exiting
-# nonzero — or a missing BENCH_*.json — fails the script: loudly, at
-# the end, after every bench has had its chance to run.
+# schema-checked. --quick is forwarded too (CI-sized runs). A bench
+# exiting nonzero — or a missing BENCH_*.json — fails the script:
+# loudly, at the end, after every bench has had its chance to run.
 set -eu
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
 OBS_FLAGS=
 OBS_JSON=
-QUICK=
 for arg in "$@"; do
     case "$arg" in
         --obs-json=*)
@@ -33,7 +29,6 @@ for arg in "$@"; do
             ;;
         --quick)
             OBS_FLAGS="$OBS_FLAGS $arg"
-            QUICK=1
             ;;
         *)
             echo "unknown argument: $arg (only --obs-* and --quick" \
@@ -69,23 +64,9 @@ for b in build/bench/*; do
     # deposits the JSON where nothing reads it.
     OUT_FLAGS=
     case "$(basename "$b")" in
-        micro_throughput)
-            OUT_FLAGS="--json=$ROOT/BENCH_throughput.json"
-            ;;
         micro_latency)
             OUT_FLAGS="--benchmark_out=$ROOT/BENCH_latency.json"
             OUT_FLAGS="$OUT_FLAGS --benchmark_out_format=json"
-            ;;
-        contention_sweep)
-            # A full 1..64-thread sweep is minutes of wall time; quick
-            # runs (CI) get their contention point from the dedicated
-            # bench-contention job's reduced sweep instead.
-            if [ -n "$QUICK" ]; then
-                echo "### $b skipped (--quick)" | tee -a bench_output.txt
-                echo | tee -a bench_output.txt
-                continue
-            fi
-            OUT_FLAGS="--json=$ROOT/BENCH_contention.json"
             ;;
     esac
     echo "### $b $OBS_FLAGS $OUT_FLAGS" | tee -a bench_output.txt
@@ -122,17 +103,13 @@ if [ "$status" -ne 0 ]; then
 fi
 
 # Verify the bench result files landed at the repo root (the paths
-# CI uploads and EXPERIMENTS.md references). micro_throughput and
-# micro_latency were pinned there explicitly above; table2_main
-# writes BENCH_main.json into the working directory, which this
-# script pinned to the root with the cd at the top. A stray copy in
-# build/ (from a bench run by hand) is swept up as a fallback. A
-# missing artifact fails the run — this is exactly the silent
-# publication gap this check exists to catch.
-ARTIFACTS="BENCH_main.json BENCH_latency.json BENCH_throughput.json"
-# The contention sweep only runs (and is only demanded) on full runs.
-[ -z "$QUICK" ] && ARTIFACTS="$ARTIFACTS BENCH_contention.json"
-for j in $ARTIFACTS; do
+# CI uploads and EXPERIMENTS.md references). micro_latency was pinned
+# there explicitly above; table2_main writes BENCH_main.json into the
+# working directory, which this script pinned to the root with the cd
+# at the top. A stray copy in build/ (from a bench run by hand) is
+# swept up as a fallback. A missing artifact fails the run — this is
+# exactly the silent publication gap this check exists to catch.
+for j in BENCH_main.json BENCH_latency.json; do
     if [ ! -s "$j" ] && [ -s "build/$j" ]; then
         cp "build/$j" "$j"
     fi
@@ -143,11 +120,6 @@ for j in $ARTIFACTS; do
         failures="$failures $j"
     fi
 done
-
-if [ -z "$QUICK" ] && [ -s BENCH_contention.json ]; then
-    python3 scripts/check_bench_schema.py BENCH_contention.json ||
-        failures="$failures bench-schema"
-fi
 
 if [ -n "$failures" ]; then
     echo "FAILED:$failures" >&2

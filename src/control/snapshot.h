@@ -10,8 +10,8 @@
  * so a racing reader that loaded the old pointer keeps using a valid
  * object — no reclamation protocol, no reader registration.
  *
- * Fast-path contract (the same bar as the journal and observer
- * planes): when every knob is at its default the published pointer is
+ * Fast-path contract (the same bar as the journal and the
+ * profiler): when every knob is at its default the published pointer is
  * *null*, so the leased fast path pays exactly one acquire load and a
  * predicted branch, and adds zero shared RMWs — the sharedRmws
  * counter is asserted byte-identical with and without an attached

@@ -373,7 +373,7 @@ class BTrace : public Tracer
      * path pays one relaxed pointer load per transition site and the
      * journal adds zero RMWs on the tracer's shared words — the
      * sharedRmws counter is identical with and without a journal
-     * (asserted by test, same bar as the TracerObserver).
+     * (asserted by JournalContract, same bar as the profiler).
      */
     void attachJournal(EventJournal *journal)
     {

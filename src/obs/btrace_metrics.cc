@@ -1,6 +1,7 @@
 #include "obs/btrace_metrics.h"
 
 #include <algorithm>
+#include <string>
 
 #include "trace/event.h"
 
@@ -83,11 +84,9 @@ BTraceObs::healthInput() const
     return in;
 }
 
-BTraceObs::BTraceObs(BTrace &tracer, TracerObserver *observer,
-                     BTraceObsOptions options)
-    : bt(tracer), obs(observer)
+BTraceObs::BTraceObs(BTrace &tracer) : bt(tracer)
 {
-    const std::string pfx = options.prefix + "_";
+    const std::string pfx = "btrace_";
     using Field = uint64_t BTraceCounters::Snapshot::*;
 
     const auto counter = [&](const char *name, const char *help,
@@ -177,20 +176,6 @@ BTraceObs::BTraceObs(BTrace &tracer, TracerObserver *observer,
                      return static_cast<double>(
                          bt.occupancy().incomplete);
                  });
-
-    if (obs != nullptr) {
-        reg.addCounter(pfx + "obs_samples_total",
-                       "Latency samples recorded by the observer",
-                       [this]() {
-                           return static_cast<double>(obs->samples());
-                       });
-        reg.addHistogram(pfx + "record_latency_ns",
-                         "Sampled record() write latency (ns)",
-                         &obs->recordNs);
-        reg.addHistogram(pfx + "lease_close_ns",
-                         "Sampled lease close latency (ns)",
-                         &obs->leaseCloseNs);
-    }
 }
 
 } // namespace btrace

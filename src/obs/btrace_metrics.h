@@ -13,9 +13,7 @@
  *    dummy-byte overhead fraction, leased-outstanding bytes, consumer
  *    lag in positions, head position, capacity/resident bytes, and
  *    the per-metadata-slot occupancy tallies (complete / open /
- *    incomplete, §3.2);
- *  - the attached TracerObserver's latency histograms and its
- *    obs-overhead sample counter, when one is provided.
+ *    incomplete, §3.2).
  *
  * The adapter also builds the watchdog's HealthInput, and tracks the
  * consumer position: a streaming consumer calls noteConsumerPosition()
@@ -29,13 +27,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "core/btrace.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/watchdog.h"
-#include "trace/observer.h"
 
 namespace btrace {
 
@@ -49,19 +45,11 @@ namespace btrace {
 void registerProfilerMetrics(MetricsRegistry &reg,
                              const CostProfiler &profiler);
 
-/** Knobs of the adapter. */
-struct BTraceObsOptions
-{
-    std::string prefix = "btrace";  //!< metric name prefix
-};
-
 /** Registry + health-input provider for one BTrace instance. */
 class BTraceObs
 {
   public:
-    explicit BTraceObs(BTrace &tracer,
-                       TracerObserver *observer = nullptr,
-                       BTraceObsOptions options = {});
+    explicit BTraceObs(BTrace &tracer);
 
     MetricsRegistry &registry() { return reg; }
     const MetricsRegistry &registry() const { return reg; }
@@ -101,7 +89,6 @@ class BTraceObs
 
   private:
     BTrace &bt;
-    TracerObserver *obs;
     MetricsRegistry reg;
     std::atomic<uint64_t> consumerPos{0};
     std::atomic<bool> consumerSeen{false};

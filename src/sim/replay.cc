@@ -15,6 +15,41 @@ namespace btrace {
 
 namespace {
 
+/** Scheduler timeslice mean. */
+constexpr double kSliceMeanSec = 1e-3;
+
+/**
+ * Widens the mid-write preemption window beyond the pure write cost:
+ * a write also stays open across IRQs, page faults, and cache misses,
+ * which the ns-level cost model does not include.
+ */
+constexpr double kPreemptionWindowBoost = 10.0;
+
+/** Spin-retry interval after Retry. */
+constexpr double kRetryDelaySec = 1e-6;
+
+/**
+ * Upper bound on how long a *runnable* preempted mid-write thread
+ * stays off CPU: the scheduler cycles ~30 runnable threads per core
+ * at millisecond slices (Fig 6), so ~100 ms even when the sampled
+ * working set would not pick the thread for much longer.
+ */
+constexpr double kStragglerResumeSec = 0.12;
+
+/**
+ * Heavy tail of mid-write stalls: occasionally the preempted writer
+ * is not merely descheduled but stuck for hundreds of ms (page fault
+ * on a compressed/zram page, memory-compaction stall, cgroup
+ * throttling — everyday events on loaded phones). These long holds
+ * are what force LTTng to drop the newest data and BBQ to block
+ * (§2.2); BTrace skips past them (§3.4).
+ */
+constexpr double kLongStallProb = 0.10;
+constexpr double kLongStallMeanSec = 0.3;
+
+/** Category tag stored in replayed entries. */
+constexpr uint16_t kCategory = 0;
+
 /** Per-core piecewise-constant burst modulation of the arrival rate. */
 class BurstProfile
 {
@@ -94,7 +129,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
 
     Prng rng(opt.seed * 0x9e3779b97f4a7c15ull ^ (wl.seed << 17));
     const SliceSchedule schedule = SliceSchedule::build(
-        wl, opt.mode, duration, opt.seed, opt.sliceMeanSec);
+        wl, opt.mode, duration, opt.seed, kSliceMeanSec);
     const BurstProfile bursts(wl, duration, opt.seed);
     const CostModel &model = tracer.model();
 
@@ -147,15 +182,6 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
             res.produced[stamp - 1].dropped = true;
     };
 
-    // Self-observation: replay drives allocate/confirm directly, so
-    // feed the tracer-level observer (if attached) the same modeled
-    // latencies that land in latencyNs — one hook for live and
-    // replayed runs alike.
-    auto observe_latency = [&](double cost_ns) {
-        if (TracerObserver *o = tracer.attachedObserver())
-            o->maybeRecordSample(cost_ns);
-    };
-
     // Global FIFO of events waiting behind a Retry. Both tracers that
     // can return Retry (BBQ behind an unfinished block, BTrace with
     // every metadata block held) block *globally*, and the paper's
@@ -196,14 +222,14 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         const SliceSchedule::Running run =
             schedule.runningAt(ev.core, ev.t);
         const double window =
-            window_ns * 1e-9 * opt.preemptionWindowBoost;
+            window_ns * 1e-9 * kPreemptionWindowBoost;
         if (run.thread != ev.thread || ev.t + window <= run.sliceEnd)
             return -1.0;
         double resume =
             schedule.nextRunAfter(ev.core, ev.thread, run.sliceEnd);
-        resume = std::min(resume, run.sliceEnd + opt.stragglerResumeSec);
-        if (rng.chance(opt.longStallProb))
-            resume += rng.exponential(opt.longStallMeanSec);
+        resume = std::min(resume, run.sliceEnd + kStragglerResumeSec);
+        if (rng.chance(kLongStallProb))
+            resume += rng.exponential(kLongStallMeanSec);
         return resume;
     };
 
@@ -217,9 +243,9 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
             graveyard.push_back(std::move(slot.lease));
             double resume =
                 schedule.nextRunAfter(ev.core, slot.owner, ev.t);
-            resume = std::min(resume, ev.t + opt.stragglerResumeSec);
-            if (rng.chance(opt.longStallProb))
-                resume += rng.exponential(opt.longStallMeanSec);
+            resume = std::min(resume, ev.t + kStragglerResumeSec);
+            if (rng.chance(kLongStallProb))
+                resume += rng.exponential(kLongStallMeanSec);
             // The straggler cutoff is relative to when the handover is
             // noticed, not the absolute grace deadline: a backlog-
             // dilated clock would otherwise declare *every* preempted
@@ -268,7 +294,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                 continue;
             }
             writeNormal(ticket.dst, ev.stamp, ev.core, ev.thread,
-                        opt.category, ev.payload);
+                        kCategory, ev.payload);
             const double copy_cost = model.copy(ticket.entrySize);
             double cost = ev.cost + ticket.cost + copy_cost;
             cost += (ev.t - ev.arrivalT) * 1e9;
@@ -295,9 +321,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                     // event racing the graveyard close.
                     ticket.cost = 0.0;
                     slot.lease.confirm(ticket);
-                    if (opt.keepLatencySamples)
-                        res.latencyNs.add(cost);
-                    observe_latency(cost);
+                    res.latencyNs.add(cost);
                     return WriteStatus::Done;
                 }
                 SimEv conf;
@@ -315,9 +339,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
             ticket.cost = 0.0;
             slot.lease.confirm(ticket);
             cost += ticket.leased ? 0.0 : ticket.cost;
-            if (opt.keepLatencySamples)
-                res.latencyNs.add(cost);
-            observe_latency(cost);
+            res.latencyNs.add(cost);
             return WriteStatus::Done;
         }
         ++res.retries;
@@ -347,7 +369,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         }
 
         writeNormal(ticket.dst, ev.stamp, ev.core, ev.thread,
-                    opt.category, ev.payload);
+                    kCategory, ev.payload);
         const double copy_cost = model.copy(ticket.entrySize);
         cost += copy_cost;
         // A producer stalled behind a blocked tracer experiences the
@@ -389,9 +411,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
         ticket.cost = 0.0;
         tracer.confirm(ticket);
         cost += ticket.cost;
-        if (opt.keepLatencySamples)
-            res.latencyNs.add(cost);
-        observe_latency(cost);
+        res.latencyNs.add(cost);
         return WriteStatus::Done;
     };
 
@@ -414,7 +434,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
                 // Exponential-ish backoff bounds the poke rate while
                 // the queue stays blocked.
                 const double backoff = std::min(
-                    opt.retryDelaySec * double(1 + head.attempts / 4),
+                    kRetryDelaySec * double(1 + head.attempts / 4),
                     1e-3);
                 SimEv poke;
                 poke.t = now + backoff;
@@ -467,9 +487,7 @@ replay(Tracer &tracer, const Workload &wl, const ReplayOptions &opt)
           case SimEv::Confirm: {
             ev.ticket.cost = 0.0;
             tracer.confirm(ev.ticket);
-            if (opt.keepLatencySamples)
-                res.latencyNs.add(ev.cost + ev.ticket.cost);
-            observe_latency(ev.cost + ev.ticket.cost);
+            res.latencyNs.add(ev.cost + ev.ticket.cost);
             break;
           }
           case SimEv::LeaseClose: {

@@ -43,33 +43,6 @@ struct ReplayOptions
     double durationSec = 0.0;     //!< 0 = workload default
     double rateScale = 1.0;       //!< scales all per-core rates
     uint64_t seed = 1;
-    double sliceMeanSec = 1e-3;   //!< scheduler timeslice mean
-    /**
-     * Widens the mid-write preemption window beyond the pure write
-     * cost: a write also stays open across IRQs, page faults, and
-     * cache misses, which the ns-level cost model does not include.
-     */
-    double preemptionWindowBoost = 10.0;
-    double retryDelaySec = 1e-6;  //!< spin-retry interval after Retry
-    /**
-     * Upper bound on how long a *runnable* preempted mid-write thread
-     * stays off CPU: the scheduler cycles ~30 runnable threads per
-     * core at millisecond slices (Fig 6), so ~100 ms even when the
-     * sampled working set would not pick the thread for much longer.
-     */
-    double stragglerResumeSec = 0.12;
-    /**
-     * Heavy tail of mid-write stalls: occasionally the preempted
-     * writer is not merely descheduled but stuck for hundreds of ms
-     * (page fault on a compressed/zram page, memory-compaction stall,
-     * cgroup throttling — everyday events on loaded phones). These
-     * long holds are what force LTTng to drop the newest data and BBQ
-     * to block (§2.2); BTrace skips past them (§3.4).
-     */
-    double longStallProb = 0.10;
-    double longStallMeanSec = 0.3;
-    uint16_t category = 0;        //!< category tag stored in entries
-    bool keepLatencySamples = true;
     bool keepProducedLog = true;
     /**
      * Entries per thread-local lease (Tracer::lease); 0 replays

@@ -95,11 +95,6 @@ Tracer::record(uint16_t core, uint32_t thread, uint64_t stamp,
     w.commit();
     if (cost_out)
         *cost_out = w.cost();
-    // Self-observation: 1-in-K sampled latency of successful writes
-    // (observer.h). The skip path is a TLS tick and a branch; no
-    // shared RMW is ever added to the tracer's own accounting.
-    if (TracerObserver *o = attachedObserver())
-        o->maybeRecordSample(w.cost());
     return true;
 }
 

@@ -36,7 +36,6 @@
 #include "obs/profiler.h"
 #include "trace/cost.h"
 #include "trace/event.h"
-#include "trace/observer.h"
 
 namespace btrace {
 
@@ -398,26 +397,6 @@ class Tracer
     const CostModel &model() const { return costs; }
 
     /**
-     * Attach (or detach, with nullptr) a self-observation collector.
-     * The observer must outlive its attachment; it samples record()
-     * latency and lease-close cost 1-in-K per thread (observer.h) and
-     * works identically for BTrace and every baseline, so cross-design
-     * dashboards read one schema. Attachment itself is wait-free.
-     */
-    void
-    attachObserver(TracerObserver *o)
-    {
-        observer.store(o, std::memory_order_release);
-    }
-
-    /** Currently attached observer, or nullptr. */
-    TracerObserver *
-    attachedObserver() const
-    {
-        return observer.load(std::memory_order_acquire);
-    }
-
-    /**
      * Publish @p s as the effective control snapshot (control plane
      * internals — ControlPlane::publish is the only intended caller;
      * nullptr means controls-at-defaults, the common case). The
@@ -445,7 +424,7 @@ class Tracer
      * engine, btrace_producer) call it before allocating an entry.
      * With controls at defaults this is one acquire load and a
      * predicted-not-taken branch — zero shared RMWs, the same bar as
-     * the journal and observer planes.
+     * the journal and the profiler.
      */
     bool shouldRecord(uint16_t category, uint32_t thread,
                       uint64_t stamp) const;
@@ -551,7 +530,6 @@ class Tracer
     const CostModel costs;
 
   private:
-    std::atomic<TracerObserver *> observer{nullptr};
     /** Effective control snapshot; nullptr = all-defaults (no gate). */
     std::atomic<const ControlSnapshot *> control{nullptr};
     /** Armed cost profiler; nullptr = probes disarmed (the default). */
@@ -647,11 +625,8 @@ Lease::close()
 {
     if (owner == nullptr)
         return;
-    const double before = costNs;
     if (base != nullptr)
         owner->leaseClose(*this);
-    if (TracerObserver *o = owner->attachedObserver())
-        o->maybeLeaseCloseSample(costNs - before);
     owner = nullptr;
     base = nullptr;
 }

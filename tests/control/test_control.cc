@@ -276,7 +276,7 @@ TEST(ControlSnapshot, RecordBudgetCapsAnInterval)
 // Single-thread record path: a permissive-but-non-default snapshot
 // (every event passes the gate) must leave sharedRmws byte-identical
 // to the controls-at-default run — decision state is plane-owned and
-// never charged (same bar as the journal and observer planes).
+// never charged (same bar as the journal and the profiler).
 TEST(ControlContract, SharedRmwsUnchangedSingleThread)
 {
     uint64_t rmws[2] = {0, 0};

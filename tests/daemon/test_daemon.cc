@@ -725,7 +725,7 @@ TEST_F(DaemonTest, PerProducerCountersExported)
 // through ConsumerDaemon (v2 headers, lag histogram, per-producer
 // tallies) must leave the producer fast path's shared-RMW count
 // byte-identical to draining the same workload with a raw dumpFrom —
-// the same contract bar the control/journal/observer planes meet.
+// the same contract bar the control plane, journal and profiler meet.
 TEST_F(DaemonTest, StatsObsContractSharedRmwsUnchanged)
 {
     uint64_t rmws[2] = {0, 0};

@@ -181,7 +181,7 @@ TEST(Journal, CoversTransitionSitesOnLiveTracer)
 
 // The journal must not add RMW traffic on the tracer's shared words:
 // identical single-threaded runs with and without an attached journal
-// must report the same sharedRmws (same bar as the TracerObserver).
+// must report the same sharedRmws (same bar as ProfilerContract).
 TEST(JournalContract, SharedRmwsUnchangedSingleThread)
 {
     const auto run = [](EventJournal *j) {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Metrics registry, counter snapshots, derived gauges, the observer
- * sampling contract (exact at K=1, zero shared-RMW footprint), and
- * both exporters (Prometheus text, JSON-lines round-trip).
+ * Metrics registry, counter snapshots, derived gauges, and both
+ * exporters (Prometheus text, JSON-lines round-trip).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include "obs/btrace_metrics.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "trace/observer.h"
 
 using namespace btrace;
 
@@ -119,25 +117,21 @@ TEST(BTraceObsTest, DerivedGauges)
 TEST(BTraceObsTest, RegistryReflectsTracer)
 {
     BTrace bt(smallConfig());
-    TracerObserver obs(/*sample_every=*/1);
-    bt.attachObserver(&obs);
-    BTraceObs mx(bt, &obs);
+    BTraceObs mx(bt);
 
     for (uint64_t s = 1; s <= 200; ++s)
         ASSERT_TRUE(bt.record(uint16_t(s % 2), 1, s, 40));
 
     const auto c = mx.registry().collect();
-    double fast = -1, eff = -1, samples = -1, head = -1;
+    double fast = -1, eff = -1, head = -1;
     for (const MetricValue &m : c.metrics) {
         if (m.name == "btrace_fast_allocs_total") fast = m.value;
         if (m.name == "btrace_effectivity_ratio") eff = m.value;
-        if (m.name == "btrace_obs_samples_total") samples = m.value;
         if (m.name == "btrace_head_position") head = m.value;
     }
     EXPECT_DOUBLE_EQ(fast, 200.0);
     EXPECT_GT(eff, 0.0);
     EXPECT_LE(eff, 1.0);
-    EXPECT_DOUBLE_EQ(samples, 200.0);  // K=1: every record sampled
     EXPECT_GT(head, 0.0);
 
     // Occupancy gauges partition the active set.
@@ -149,12 +143,6 @@ TEST(BTraceObsTest, RegistryReflectsTracer)
     }
     EXPECT_DOUBLE_EQ(complete + open + incomplete,
                      double(smallConfig().activeBlocks));
-
-    // Histograms present and populated.
-    ASSERT_EQ(c.histograms.size(), 2u);
-    EXPECT_EQ(c.histograms[0].name, "btrace_record_latency_ns");
-    EXPECT_EQ(c.histograms[0].count, 200u);
-    bt.attachObserver(nullptr);
 }
 
 TEST(BTraceObsTest, ConsumerLagGauge)
@@ -177,39 +165,6 @@ TEST(BTraceObsTest, ConsumerLagGauge)
     // A consumer ahead of the head (stale head read) clamps to zero.
     mx.noteConsumerPosition(uint64_t(head) + 10);
     EXPECT_DOUBLE_EQ(mx.consumerLagPositions(), 0.0);
-}
-
-// The observer must not add RMW traffic on the tracer's shared words:
-// identical single-threaded runs with and without an attached
-// observer at K=1 must report the same sharedRmws.
-TEST(ObserverContract, SharedRmwsUnchanged)
-{
-    const auto run = [](TracerObserver *obs) {
-        BTrace bt(smallConfig());
-        if (obs != nullptr)
-            bt.attachObserver(obs);
-        for (uint64_t s = 1; s <= 500; ++s)
-            EXPECT_TRUE(bt.record(0, 1, s, 40));
-        return bt.countersSnapshot().sharedRmws;
-    };
-    const uint64_t bare = run(nullptr);
-    TracerObserver obs(/*sample_every=*/1);
-    const uint64_t observed = run(&obs);
-    EXPECT_EQ(bare, observed);
-    EXPECT_EQ(obs.samples(), 500u);  // and the overhead is metered
-}
-
-TEST(ObserverContract, OneInKSampling)
-{
-    TracerObserver obs(/*sample_every=*/4);
-    int sampled = 0;
-    for (int i = 0; i < 400; ++i)
-        if (obs.shouldSample())
-            ++sampled;
-    // The thread-local tick is shared across observers, so this
-    // thread's phase is unknown — but the density must be 1-in-4.
-    EXPECT_GE(sampled, 99);
-    EXPECT_LE(sampled, 101);
 }
 
 TEST(Exporters, PrometheusTextFormat)

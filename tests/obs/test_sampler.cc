@@ -18,8 +18,8 @@
 #include "core/btrace.h"
 #include "obs/btrace_metrics.h"
 #include "obs/journal.h"
+#include "obs/profiler.h"
 #include "obs/sampler.h"
-#include "trace/observer.h"
 
 using namespace btrace;
 
@@ -84,16 +84,18 @@ TEST(StatsSampler, RingIsBounded)
 }
 
 // The TSan target: a background sampler collecting from a registry
-// whose callbacks read live tracer state, while producer threads
-// write flat out. Every sample must be internally consistent: seq
-// strictly increasing, time and every counter non-decreasing.
+// whose callbacks read live tracer state and an armed CostProfiler's
+// histograms, while producer threads write flat out. Every sample
+// must be internally consistent: seq strictly increasing, time and
+// every counter non-decreasing.
 TEST(StatsSampler, MonotoneUnderConcurrentProducers)
 {
     constexpr unsigned kThreads = 4;
     BTrace bt(mediumConfig(kThreads));
-    TracerObserver obs(/*sample_every=*/8);
-    bt.attachObserver(&obs);
-    BTraceObs mx(bt, &obs);
+    CostProfiler profiler;
+    bt.attachProfiler(&profiler);
+    BTraceObs mx(bt);
+    registerProfilerMetrics(mx.registry(), profiler);
 
     SamplerOptions opt;
     opt.intervalSec = 0.002;
@@ -116,7 +118,7 @@ TEST(StatsSampler, MonotoneUnderConcurrentProducers)
     for (std::thread &t : producers)
         t.join();
     sampler.stop();
-    bt.attachObserver(nullptr);
+    bt.attachProfiler(nullptr);
 
     const auto samples = sampler.recent();
     ASSERT_GE(samples.size(), 3u);
@@ -136,16 +138,20 @@ TEST(StatsSampler, MonotoneUnderConcurrentProducers)
             EXPECT_GE(rate.second, 0.0);
     }
 
-    // The observer histograms flowed through into the samples.
+    // The profiler's phase histograms flowed through into the
+    // samples: every record() pays a claim and a publish probe.
     const ObsSample &last = samples.back();
-    bool sawRecordHist = false;
+    uint64_t claims = 0, publishes = 0;
     for (const HistogramValue &h : last.histograms) {
-        if (h.name == "btrace_record_latency_ns") {
-            sawRecordHist = true;
-            EXPECT_GT(h.count, 0u);
-        }
+        if (h.name == "btrace_profile_claim_ns") claims = h.count;
+        if (h.name == "btrace_profile_publish_ns") publishes = h.count;
     }
-    EXPECT_TRUE(sawRecordHist);
+    EXPECT_GT(claims, 0u);
+    EXPECT_GT(publishes, 0u);
+    double probes = 0;
+    for (const auto &c : last.counters)
+        if (c.first == "btrace_profile_samples_total") probes = c.second;
+    EXPECT_GE(probes, double(claims + publishes));
 }
 
 TEST(StatsSampler, WritesParsableJsonLines)

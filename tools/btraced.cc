@@ -181,6 +181,24 @@ main(int argc, char **argv)
         return usage();
     f.daemon.outDir = f.outDir;
 
+    // Control plane (DESIGN.md §12): the control file is the
+    // operator's knob. Parse and validate it before the arena or the
+    // output directory exists, so a malformed file leaves nothing
+    // behind. The watcher is primed first, so a rewrite that lands
+    // while the arena is being created is still picked up.
+    ControlFileWatcher watcher(f.controlFile);
+    ControlConfig initialControl;
+    if (!f.controlFile.empty()) {
+        (void)watcher.changed();
+        auto cc = loadControlFile(f.controlFile);
+        if (!cc.ok()) {
+            std::fprintf(stderr, "btraced: %s\n",
+                         cc.status().toString().c_str());
+            return exitCodeFor(cc.status().code());
+        }
+        initialControl = cc.value();
+    }
+
     // Rendezvous: create the arena, or join one that exists.
     Expected<Session> sess = Expected<Session>(Session());
     if (f.create) {
@@ -218,11 +236,11 @@ main(int argc, char **argv)
     }
     ConsumerDaemon &d = *daemon.value();
 
-    // Control plane (DESIGN.md §12): the control file is the
-    // operator's knob. Applied at startup, then re-applied on SIGHUP
-    // or whenever its mtime moves; applyControl on this attachment
-    // publishes to the arena control page, so live producers in other
-    // processes adopt it on their next poll.
+    // The parsed control file is applied now that the geometry it is
+    // checked against exists, then re-applied on SIGHUP or whenever
+    // its mtime moves; applyControl on this attachment publishes to
+    // the arena control page, so live producers in other processes
+    // adopt it on their next poll.
     const auto applyControlFile = [&]() -> Status {
         auto cc = loadControlFile(f.controlFile);
         if (!cc.ok())
@@ -230,7 +248,8 @@ main(int argc, char **argv)
         return d.session().applyControl(cc.value());
     };
     if (!f.controlFile.empty()) {
-        if (Status st = applyControlFile(); !st.ok()) {
+        if (Status st = d.session().applyControl(initialControl);
+            !st.ok()) {
             std::fprintf(stderr, "btraced: %s\n",
                          st.toString().c_str());
             return exitCodeFor(st.code());
@@ -241,7 +260,6 @@ main(int argc, char **argv)
                 d.session()->controlPlane().version()),
             f.controlFile.c_str());
     }
-    ControlFileWatcher watcher(f.controlFile);
 
     MetricsRegistry registry;
     d.registerMetrics(registry);

@@ -11,13 +11,13 @@
  *
  * The virtual-time replay engine (§5) drives the chosen tracer with
  * the chosen workload while a StatsSampler watches the same instance
- * from a real background thread: counter rates, derived gauges, the
- * sampled write-latency histogram, and the health watchdog. Samples
- * stream to --obs-json as JSON-lines while the run is in flight; a
- * final Prometheus text dump of the full registry goes to --obs-prom.
- * Baseline tracers export through the same Tracer-level observer hook,
- * so their latency histograms appear too — only the BTrace-specific
- * counters and gauges are absent.
+ * from a real background thread: counter rates, derived gauges, and
+ * the health watchdog. Samples stream to --obs-json as JSON-lines
+ * while the run is in flight; a final Prometheus text dump of the
+ * full registry goes to --obs-prom. Baseline tracers have no
+ * counters or gauges; --profile exports the btrace_profile_* phase
+ * family for every tracer. The summary line prints the modeled write
+ * latency p50/p99 (ReplayResult::latencyNs) for every tracer.
  *
  * BTrace runs additionally carry the lifecycle journal: --journal-out
  * writes a Chrome trace-event JSON (drag into ui.perfetto.dev) that
@@ -192,11 +192,6 @@ main(int argc, char **argv)
         control = cc.value();
     }
 
-    // The observer hook is Tracer-level: every tracer gets sampled
-    // write latency. The counter/gauge registry is BTrace-specific.
-    TracerObserver observer;
-    tracer->attachObserver(&observer);
-
     // Phase-cost profiler (DESIGN.md §14): armed exactly like the
     // journal — one pointer store; disarmed sites pay a relaxed load.
     // Hardware counters ride along when perf_event_open is permitted;
@@ -233,7 +228,7 @@ main(int argc, char **argv)
                              btp->controlPlane().version()),
                          f.controlFile.c_str());
         }
-        btObs = std::make_unique<BTraceObs>(*btp, &observer);
+        btObs = std::make_unique<BTraceObs>(*btp);
         reg = &btObs->registry();
         // The journal toggle is honored at tool level: an operator
         // turning `journal = off` in the control file wins over the
@@ -260,13 +255,6 @@ main(int argc, char **argv)
                          "warning: --control-file needs the btrace "
                          "tracer; ignored for '%s'\n",
                          f.tracer.c_str());
-        baselineReg.addCounter(
-            "btrace_obs_samples_total",
-            "Latency samples recorded by the observer",
-            [&observer]() { return double(observer.samples()); });
-        baselineReg.addHistogram("btrace_record_latency_ns",
-                                 "Sampled record() write latency (ns)",
-                                 &observer.recordNs);
     }
 
     if (profiler)
@@ -308,7 +296,7 @@ main(int argc, char **argv)
     opt.rateScale = f.scale;
     opt.seed = f.seed;
     opt.leaseEntries = f.leaseEntries;
-    const ReplayResult res = replay(*tracer, wl, opt);
+    ReplayResult res = replay(*tracer, wl, opt);
 
     if (f.obsInterval > 0)
         sampler.stop();  // takes the final sample
@@ -317,12 +305,14 @@ main(int argc, char **argv)
 
     const ContinuityReport rep = analyzeContinuity(res);
     std::printf("%s on %s: %.2f virtual s, %zu produced, %llu drops, "
-                "latest fragment %.2f MB, loss %.2f%%\n",
+                "latest fragment %.2f MB, loss %.2f%%, "
+                "modeled latency p50 %.0f ns p99 %.0f ns\n",
                 res.tracerName.c_str(), res.workloadName.c_str(),
                 f.duration, res.produced.size(),
                 static_cast<unsigned long long>(res.drops),
                 rep.latestFragmentBytes / (1024.0 * 1024.0),
-                100.0 * rep.lossRate);
+                100.0 * rep.lossRate, res.latencyNs.percentile(0.50),
+                res.latencyNs.percentile(0.99));
     std::printf("obs: %llu samples",
                 static_cast<unsigned long long>(sampler.samplesTaken()));
     if (!f.obsJson.empty())
