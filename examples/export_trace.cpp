@@ -1,12 +1,16 @@
 /**
  * @file
  * Persist-and-export pipeline (§2.1 "Persist vs. In-memory"): a
- * background reader persists the in-memory buffer to disk while
- * producers keep tracing, then the persisted trace — far longer than
- * the buffer itself — is exported to Chrome trace-event JSON and CSV
- * for existing tooling (Perfetto, spreadsheets).
+ * consumer daemon running in-process drains the in-memory buffer into
+ * segment files while producers keep tracing, then the persisted
+ * trace — far longer than the buffer itself — is read back and
+ * exported to Chrome trace-event JSON and CSV for existing tooling
+ * (Perfetto, spreadsheets).
  *
  *   $ ./export_trace [output-directory]
+ *
+ * Segments land in <output-directory>/btrace_example/; btrace_inspect
+ * reads any one of them.
  */
 
 #include <atomic>
@@ -15,8 +19,7 @@
 #include <thread>
 
 #include "analysis/export.h"
-#include "core/btrace.h"
-#include "core/persister.h"
+#include "daemon/daemon.h"
 
 using namespace btrace;
 
@@ -24,7 +27,6 @@ int
 main(int argc, char **argv)
 {
     const std::string dir = argc > 1 ? argv[1] : "/tmp";
-    const std::string trace_path = dir + "/btrace_example.bin";
 
     // Register the tracepoints we will emit.
     TracepointRegistry registry;
@@ -35,23 +37,37 @@ main(int argc, char **argv)
     const uint16_t cat_energy = registry.registerTracepoint(
         "energy", 3, "energy-aware migration");
 
-    // A small buffer: the persisted file will outgrow it many times.
+    // A small buffer: the persisted segments will outgrow it many times.
     BTraceConfig cfg;
     cfg.blockSize = 4096;
     cfg.numBlocks = 64;  // 256 KB
     cfg.activeBlocks = 16;
     cfg.cores = 4;
-    BTrace tracer(cfg);
+    auto session = Session::create(cfg);
+    if (!session.ok()) {
+        std::fprintf(stderr, "%s\n", session.status().toString().c_str());
+        return exitCodeFor(session.status().code());
+    }
+
+    // The daemon drains the tracer's own session every millisecond,
+    // closing partially filled blocks on each pass (§4.3): without
+    // that, a napping producer's open block stalls the drain cursor
+    // and a fast buffer lap can overrun it. Keep every segment, since
+    // all of them are read back below.
+    DaemonOptions dopt;
+    dopt.outDir = dir + "/btrace_example";
+    dopt.drainIntervalSec = 0.001;
+    dopt.maxSegments = 0;
+    auto made = ConsumerDaemon::make(session.take(), dopt);
+    if (!made.ok()) {
+        std::fprintf(stderr, "%s\n", made.status().toString().c_str());
+        return exitCodeFor(made.status().code());
+    }
+    ConsumerDaemon &daemon = *made.value();
+    BTrace &tracer = daemon.session().tracer();
+    daemon.start();
 
     std::atomic<uint64_t> stamp{0};
-    PersisterOptions popt;
-    popt.pollIntervalSec = 0.001;
-    // Close partially filled blocks on every poll (§4.3): without
-    // this, a napping producer's open block stalls the reader cursor
-    // and a fast buffer lap can overrun it.
-    popt.closeActive = true;
-    TracePersister persister(tracer, trace_path, popt);
-
     std::vector<std::thread> producers;
     for (unsigned core = 0; core < cfg.cores; ++core) {
         producers.emplace_back([&, core]() {
@@ -71,13 +87,25 @@ main(int argc, char **argv)
     }
     for (auto &p : producers)
         p.join();
-    persister.stop();
+    daemon.stop();
 
-    const auto loaded = TracePersister::load(trace_path);
+    std::vector<DumpEntry> loaded;
+    const uint64_t segments = daemon.stats().segmentsOpened;
+    for (uint64_t i = 0; i < segments; ++i) {
+        auto seg = readTraceFile(daemonSegmentPath(dopt.outDir, i));
+        if (!seg.ok()) {
+            std::fprintf(stderr, "%s\n", seg.status().toString().c_str());
+            return exitCodeFor(seg.status().code());
+        }
+        loaded.insert(loaded.end(), seg.value().begin(),
+                      seg.value().end());
+    }
     std::printf("in-memory buffer: %zu KB; persisted %zu entries "
-                "(%llu produced)\n",
+                "(%llu produced) in %llu segment(s) under %s\n",
                 tracer.capacityBytes() >> 10, loaded.size(),
-                static_cast<unsigned long long>(stamp.load()));
+                static_cast<unsigned long long>(stamp.load()),
+                static_cast<unsigned long long>(segments),
+                dopt.outDir.c_str());
 
     ExportOptions eopt;
     eopt.registry = &registry;

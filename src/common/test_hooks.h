@@ -35,9 +35,9 @@ namespace btrace::hooks {
 /** Identifies one critical window in the lock-free core. */
 enum class YieldPoint : int
 {
-    AllocPreReserve = 0,      //!< allocate: core-local read done, Allocated FAA next
-    AllocPreBoundaryConfirm,  //!< allocate: tail dummy written, its confirm next
-    AllocPreStaleConfirm,     //!< allocate: stale-round dummy written, confirm next
+    ReservePreClaim = 0,      //!< claim: core-local read done, Allocated FAA next
+    AllocPreBoundaryConfirm,  //!< claim: tail dummy written, its confirm next
+    AllocPreStaleConfirm,     //!< claim: stale-round dummy written, confirm next
     AdvancePostClaim,         //!< tryAdvance: global FAA done, metadata read next
     AdvancePreLock,           //!< tryAdvance: completeness checked, lock CAS next
     AdvancePreReset,          //!< tryAdvance: Confirmed locked, Allocated reset next
@@ -46,7 +46,6 @@ enum class YieldPoint : int
     ReadPostCopy,             //!< readBlock: entries parsed in place, re-validation next
     ResizePostFreeze,         //!< resize: frozen bit set, quiesce next
     ResizePreDecommit,        //!< resize: epochs synchronized, decommit next
-    LeasePreClaim,            //!< lease: core-local read done, span FAA next
     LeasePreCloseConfirm,     //!< leaseClose: span untouched, owner CAS next
     ControlPreSwap,           //!< applyControl: snapshot built, pointer swap next
     Count

@@ -336,19 +336,13 @@ BTrace::writeFlightToArena(const char *bundle, std::size_t len) noexcept
     return true;
 }
 
-WriteTicket
-BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
+BTrace::Claim
+BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
 {
     BTRACE_DASSERT(core < cfg.cores, "core id out of range");
-    const auto need = static_cast<uint32_t>(
-        EntryLayout::normalSize(payload_len));
-    BTRACE_DASSERT(need <= cap - EntryLayout::blockHeaderBytes,
-                   "entry larger than a data block");
-
-    WriteTicket ticket;
-    ticket.core = core;
-    ticket.thread = thread;
-    ticket.cost = costs.tscRead + costs.setupOverhead;
+    BTRACE_DASSERT(need <= want &&
+                       want <= cap - EntryLayout::blockHeaderBytes,
+                   "claim larger than a data block");
 
     // One arming load for every probe in this call (DESIGN.md §14).
     CostProfiler *const pf = activeProfiler();
@@ -371,46 +365,45 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
         const RndPos pre = m.loadAllocated(std::memory_order_relaxed);
         if (pre.rnd != exp_rnd || pre.pos >= cap) {
             if (coreLocal[core]->load(std::memory_order_acquire) ==
-                local_word) {
-                const AdvanceResult res =
-                    timedAdvance(pf, core, local_word, ticket.cost);
-                if (res == AdvanceResult::WouldBlock) {
-                    ticket.status = AllocStatus::Retry;
-                    ctrs.wouldBlock.fetch_add(1,
-                                              std::memory_order_relaxed);
-                    return ticket;
-                }
-            }
+                    local_word &&
+                timedAdvance(pf, core, local_word, cost) ==
+                    AdvanceResult::WouldBlock)
+                break;
             continue;
         }
 
         // Critical window: the metadata can be re-locked for a newer
         // round between the core-local read above and this fetch_add,
         // turning the reservation stale (§3.2).
-        BTRACE_TEST_YIELD(AllocPreReserve);
+        BTRACE_TEST_YIELD(ReservePreClaim);
 
         uint64_t claimed;
         {
             // Claim-phase probe: the reservation FAA itself.
             PhaseProbe probe(pf, ProfilePhase::Claim);
             claimed =
-                m.allocated.fetch_add(need, std::memory_order_acq_rel);
+                m.allocated.fetch_add(want, std::memory_order_acq_rel);
         }
         const RndPos old = RndPos::unpack(claimed);
         ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-        ticket.cost += costs.atomicLocal;
+        cost += costs.atomicLocal;
 
         if (old.rnd == exp_rnd) {
             if (old.pos + need <= cap) {
-                // Fast path (§4.1): space granted in our core's block.
+                // Fast path (§4.1): space granted in our core's block,
+                // possibly short of want near the block end. The
+                // overshoot beyond capacity, if any, only marks the
+                // block exhausted.
                 const uint64_t phys =
                     local.pos % (numActive * local.ratio);
-                ticket.dst = blockData(phys) + old.pos;
-                ticket.entrySize = need;
-                ticket.handle.slot = static_cast<uint32_t>(meta_idx);
-                ticket.status = AllocStatus::Ok;
-                ctrs.fastAllocs.fetch_add(1, std::memory_order_relaxed);
-                return ticket;
+                Claim c;
+                c.dst = blockData(phys) + old.pos;
+                c.word = claimed;
+                c.blockPos = local.pos;
+                c.slot = static_cast<uint32_t>(meta_idx);
+                c.len = static_cast<uint32_t>(
+                    std::min<uint64_t>(want, cap - old.pos));
+                return c;
             }
 
             if (old.pos < cap) {
@@ -428,66 +421,79 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
                 ctrs.boundaryFills.fetch_add(1, std::memory_order_relaxed);
                 ctrs.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
-                ticket.cost += costs.atomicLocal + costs.copy(8);
+                cost += costs.atomicLocal + costs.copy(8);
                 journalEmit(JournalEventKind::BlockClose, core,
                             local.pos,
                             uint64_t(BlockCloseReason::Full));
             }
 
             // Block exhausted: advance to a fresh one (§4.2).
-            const AdvanceResult res =
-                timedAdvance(pf, core, local_word, ticket.cost);
-            if (res == AdvanceResult::WouldBlock) {
-                ticket.status = AllocStatus::Retry;
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
-                return ticket;
-            }
+            if (timedAdvance(pf, core, local_word, cost) ==
+                AdvanceResult::WouldBlock)
+                break;
             continue;
         }
 
         BTRACE_DASSERT(old.rnd > exp_rnd,
-                       "allocation round ran behind the core-local view");
+                       "reservation round ran behind the core-local view");
 
         // Stale reservation: the metadata was re-locked for a newer
         // round between our core-local read and the fetch_add. This
         // happens when our core's lagging block was closed and stolen
         // by a wrap-around producer (§3.2). We own [old.pos,
-        // old.pos+need) of the *new* round's block; fill it with a
-        // dummy and confirm so that block still completes.
+        // old.pos+want) of the *new* round's block; fill the
+        // in-capacity part with a dummy and confirm so that block
+        // still completes.
         ctrs.staleAllocs.fetch_add(1, std::memory_order_relaxed);
         if (old.pos < cap) {
-            const auto claim = static_cast<uint32_t>(
-                std::min<uint64_t>(need, cap - old.pos));
+            const auto fill = static_cast<uint32_t>(
+                std::min<uint64_t>(want, cap - old.pos));
             const uint64_t stale_pos =
                 uint64_t(old.rnd) * numActive + meta_idx;
-            writeDummy(blockData(physicalOf(stale_pos)) + old.pos, claim);
+            writeDummy(blockData(physicalOf(stale_pos)) + old.pos, fill);
             // Critical window: the stale-round dummy obligation is
             // written but unconfirmed; the new round's block cannot
             // complete until this confirm lands.
             BTRACE_TEST_YIELD(AllocPreStaleConfirm);
-            m.confirmed.fetch_add(claim, std::memory_order_acq_rel);
+            m.confirmed.fetch_add(fill, std::memory_order_acq_rel);
             ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            ctrs.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
-            ticket.cost += costs.atomicLocal + costs.copy(8);
+            ctrs.dummyBytes.fetch_add(fill, std::memory_order_relaxed);
+            cost += costs.atomicLocal + costs.copy(8);
         }
 
         // If no other thread of this core has installed a fresh block
         // in the meantime, it is on us to advance; otherwise just
         // re-read the updated core-local word.
         if (coreLocal[core]->load(std::memory_order_acquire) ==
-            local_word) {
-            const AdvanceResult res =
-                timedAdvance(pf, core, local_word, ticket.cost);
-            if (res == AdvanceResult::WouldBlock) {
-                ticket.status = AllocStatus::Retry;
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
-                return ticket;
-            }
-        }
+                local_word &&
+            timedAdvance(pf, core, local_word, cost) ==
+                AdvanceResult::WouldBlock)
+            break;
     }
 
-    ticket.status = AllocStatus::Retry;
     ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+    return Claim{};
+}
+
+WriteTicket
+BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
+{
+    const auto need = static_cast<uint32_t>(
+        EntryLayout::normalSize(payload_len));
+
+    WriteTicket ticket;  // status Retry until claimed
+    ticket.core = core;
+    ticket.thread = thread;
+    ticket.cost = costs.tscRead + costs.setupOverhead;
+
+    const Claim c = claim(core, need, need, ticket.cost);
+    if (c.dst == nullptr)
+        return ticket;
+    ticket.dst = c.dst;
+    ticket.entrySize = need;
+    ticket.handle.slot = c.slot;
+    ticket.status = AllocStatus::Ok;
+    ctrs.fastAllocs.fetch_add(1, std::memory_order_relaxed);
     return ticket;
 }
 
@@ -522,11 +528,8 @@ Lease
 BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
               uint32_t n)
 {
-    BTRACE_DASSERT(core < cfg.cores, "core id out of range");
     const auto need = static_cast<uint32_t>(
         EntryLayout::normalSize(payload_hint));
-    BTRACE_DASSERT(need <= cap - EntryLayout::blockHeaderBytes,
-                   "entry larger than a data block");
     // A lease never spans blocks: cap the span at what a fresh block
     // can hold, so a huge n degenerates to one-lease-per-block.
     const auto want = static_cast<uint32_t>(std::min<uint64_t>(
@@ -534,148 +537,28 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
         cap - EntryLayout::blockHeaderBytes));
 
     double cost = costs.tscRead + costs.setupOverhead;
+    const Claim c = claim(core, need, want, cost);
+    if (c.dst == nullptr)
+        return deniedLease(AllocStatus::Retry, cost);
 
-    // One arming load for every probe in this call (DESIGN.md §14).
-    CostProfiler *const pf = activeProfiler();
-
-    // Same bounded safety valve as allocate(): with every metadata
-    // block held by a preempted writer the advancement loop cannot
-    // make progress; report Retry so the caller can reschedule (§3.4).
-    for (int attempt = 0; attempt < 64; ++attempt) {
-        const uint64_t local_word =
-            coreLocal[core]->load(std::memory_order_acquire);
-        const RatioPos local = RatioPos::unpack(local_word);
-        const std::size_t meta_idx = local.pos % numActive;
-        const uint32_t exp_rnd = checkedRound(local.pos, numActive);
-        MetadataBlock &m = meta[meta_idx];
-
-        const RndPos pre = m.loadAllocated(std::memory_order_relaxed);
-        if (pre.rnd != exp_rnd || pre.pos >= cap) {
-            if (coreLocal[core]->load(std::memory_order_acquire) ==
-                local_word) {
-                if (timedAdvance(pf, core, local_word, cost) ==
-                    AdvanceResult::WouldBlock) {
-                    ctrs.wouldBlock.fetch_add(1,
-                                              std::memory_order_relaxed);
-                    return deniedLease(AllocStatus::Retry, cost);
-                }
-            }
-            continue;
-        }
-
-        // Critical window: the metadata can be re-locked for a newer
-        // round between the core-local read above and this fetch_add,
-        // turning the whole span reservation stale (§3.2).
-        BTRACE_TEST_YIELD(LeasePreClaim);
-
-        uint64_t claimed;
-        {
-            // Claim-phase probe: the span-reservation FAA itself.
-            PhaseProbe probe(pf, ProfilePhase::Claim);
-            claimed =
-                m.allocated.fetch_add(want, std::memory_order_acq_rel);
-        }
-        const RndPos old = RndPos::unpack(claimed);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-        cost += costs.atomicLocal;
-
-        if (old.rnd == exp_rnd) {
-            if (old.pos + need <= cap) {
-                // Span granted (possibly short of want near the block
-                // end); the overshoot beyond capacity, if any, only
-                // marks the block exhausted, exactly like a single-
-                // entry reservation overshoot.
-                const auto grant = static_cast<uint32_t>(
-                    std::min<uint64_t>(want, cap - old.pos));
-                const uint64_t phys =
-                    local.pos % (numActive * local.ratio);
-                const uint64_t seq =
-                    ctrs.leases.fetch_add(1, std::memory_order_relaxed);
-                ctrs.leasedOutstanding.fetch_add(
-                    grant, std::memory_order_relaxed);
-                journalEmit(JournalEventKind::LeaseGrant, core,
-                            local.pos, grant);
-                TicketHandle handle;
-                handle.slot = static_cast<uint32_t>(meta_idx);
-                // Multi-process arenas stamp an ownership record so a
-                // sweeper can reclaim the span if we die holding it.
-                // aux == 0 means untracked (private backend, or the
-                // owner table was full). Not charged to sharedRmws:
-                // robustness plane, not the §4.1 write protocol.
-                if (shared)
-                    handle.aux = registerLeaseOwner(
-                        static_cast<uint32_t>(meta_idx), exp_rnd,
-                        old.pos, grant, local.pos, seq + 1);
-                // The claim's own word and length let close() hand an
-                // unused tail back while nothing has reserved after it.
-                return grantLease(*this, core, thread,
-                                  blockData(phys) + old.pos, grant,
-                                  handle, cost, claimed, want);
-            }
-
-            if (old.pos < cap) {
-                // Tail smaller than one entry: fill it with a dummy
-                // and confirm it (§4.1, Fig 8c), then advance.
-                const uint64_t phys =
-                    local.pos % (numActive * local.ratio);
-                const auto gap = static_cast<uint32_t>(cap - old.pos);
-                writeDummy(blockData(phys) + old.pos, gap);
-                BTRACE_TEST_YIELD(AllocPreBoundaryConfirm);
-                m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-                ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-                ctrs.boundaryFills.fetch_add(1,
-                                             std::memory_order_relaxed);
-                ctrs.dummyBytes.fetch_add(gap,
-                                          std::memory_order_relaxed);
-                cost += costs.atomicLocal + costs.copy(8);
-                journalEmit(JournalEventKind::BlockClose, core,
-                            local.pos,
-                            uint64_t(BlockCloseReason::Full));
-            }
-
-            if (timedAdvance(pf, core, local_word, cost) ==
-                AdvanceResult::WouldBlock) {
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
-                return deniedLease(AllocStatus::Retry, cost);
-            }
-            continue;
-        }
-
-        BTRACE_DASSERT(old.rnd > exp_rnd,
-                       "lease round ran behind the core-local view");
-
-        // Stale span reservation: the metadata was re-locked for a
-        // newer round between our core-local read and the fetch_add.
-        // We own [old.pos, old.pos+want) of the *new* round's block;
-        // fill the in-capacity part with a dummy and confirm so that
-        // block still completes (§3.2).
-        ctrs.staleAllocs.fetch_add(1, std::memory_order_relaxed);
-        if (old.pos < cap) {
-            const auto claim = static_cast<uint32_t>(
-                std::min<uint64_t>(want, cap - old.pos));
-            const uint64_t stale_pos =
-                uint64_t(old.rnd) * numActive + meta_idx;
-            writeDummy(blockData(physicalOf(stale_pos)) + old.pos,
-                       claim);
-            BTRACE_TEST_YIELD(AllocPreStaleConfirm);
-            m.confirmed.fetch_add(claim, std::memory_order_acq_rel);
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            ctrs.dummyBytes.fetch_add(claim, std::memory_order_relaxed);
-            cost += costs.atomicLocal + costs.copy(8);
-        }
-
-        if (coreLocal[core]->load(std::memory_order_acquire) ==
-            local_word) {
-            if (timedAdvance(pf, core, local_word, cost) ==
-                AdvanceResult::WouldBlock) {
-                ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
-                return deniedLease(AllocStatus::Retry, cost);
-            }
-        }
+    const uint64_t seq = ctrs.leases.fetch_add(1, std::memory_order_relaxed);
+    ctrs.leasedOutstanding.fetch_add(c.len, std::memory_order_relaxed);
+    journalEmit(JournalEventKind::LeaseGrant, core, c.blockPos, c.len);
+    TicketHandle handle;
+    handle.slot = c.slot;
+    // Multi-process arenas stamp an ownership record so a sweeper can
+    // reclaim the span if we die holding it. aux == 0 means untracked
+    // (private backend, or the owner table was full). Not charged to
+    // sharedRmws: robustness plane, not the §4.1 write protocol.
+    if (shared) {
+        const RndPos at = RndPos::unpack(c.word);
+        handle.aux = registerLeaseOwner(c.slot, at.rnd, at.pos, c.len,
+                                        c.blockPos, seq + 1);
     }
-
-    ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
-    return deniedLease(AllocStatus::Retry, cost);
+    // The claim's own word and length let close() hand an unused tail
+    // back while nothing has reserved after it.
+    return grantLease(*this, core, thread, c.dst, c.len, handle, cost,
+                      c.word, want);
 }
 
 void

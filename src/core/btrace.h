@@ -129,10 +129,10 @@ struct ActiveBlockOccupancy
 /**
  * Outcome of one speculative block read (§4.3). The reader itself only
  * classifies; what a non-Data outcome *means* depends on the caller:
- * dump() charges Abandoned to Dump::abandonedBlocks, while dumpSince()
- * charges any vanished block at a position the producers have lapped
- * to Dump::overwrittenPositions — that data is permanently gone, not
- * merely unreadable right now.
+ * dump() charges Abandoned to Dump::abandonedBlocks, while an
+ * incremental dumpFrom() charges any vanished block at a position the
+ * producers have lapped to Dump::overwrittenPositions — that data is
+ * permanently gone, not merely unreadable right now.
  */
 enum class BlockReadStatus
 {
@@ -182,8 +182,7 @@ class BTrace : public Tracer
      * prefer btrace::Session::attachFile / attachFd.
      */
     static Expected<std::unique_ptr<BTrace>>
-    attachArena(std::unique_ptr<StorageBackend> backend,
-                const CostModel &model = CostModel::def());
+    attachArena(std::unique_ptr<StorageBackend> backend);
 
     /**
      * Arena-backed instances stamp the header on the way out: current
@@ -245,12 +244,16 @@ class BTrace : public Tracer
      * (snapshot semantics).
      */
     void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
-                  Dump &out) override;
-    using Tracer::dumpFrom;
+                  Dump &out);
 
-    /** Legacy spelling of dumpFrom; use the DumpCursor overload. */
-    [[deprecated("use dumpFrom(DumpCursor&, DumpOptions)")]]
-    Dump dumpSince(uint64_t &cursor, bool close_active = false);
+    /** dumpFrom into a fresh Dump, returned by value. */
+    Dump
+    dumpFrom(DumpCursor &cursor, const DumpOptions &opts = {})
+    {
+        Dump out;
+        dumpFrom(cursor, opts, out);
+        return out;
+    }
 
     /**
      * Resize the buffer to @p new_num_blocks data blocks (a multiple
@@ -418,7 +421,7 @@ class BTrace : public Tracer
      * Status instead of a fatal.
      */
     BTrace(AttachTag, std::unique_ptr<StorageBackend> backend,
-           const BTraceConfig &derived, const CostModel &model);
+           const BTraceConfig &derived);
 
     /** Build the storage span described by @p config. */
     static VirtualSpan makeSpan(const BTraceConfig &config);
@@ -500,6 +503,33 @@ class BTrace : public Tracer
             j != nullptr)
             j->emit(kind, core, block, arg);
     }
+
+    /**
+     * One reservation granted by claim(): @c len bytes at @c dst, in
+     * the block of global position @c blockPos on metadata slot
+     * @c slot; @c word is the Allocated word the fetch_add returned.
+     * A null @c dst means Retry.
+     */
+    struct Claim
+    {
+        uint8_t *dst = nullptr;
+        uint64_t word = 0;
+        uint64_t blockPos = 0;
+        uint32_t slot = 0;
+        uint32_t len = 0;
+    };
+
+    /**
+     * The write protocol behind allocate() and lease() (§4.1-§4.2):
+     * read the core's block, reserve @p want bytes with one Allocated
+     * fetch_add, and grant them (cut at the block end) when @p need
+     * fits. Otherwise dummy-fill the block's tail or the stale-round
+     * span the add landed in (§3.2), advance the core, and try again.
+     * Retry once advancement would block or after 64 attempts. Forced
+     * inline: both callers sit on the producer fast path.
+     */
+    [[gnu::always_inline]] inline Claim
+    claim(uint16_t core, uint32_t need, uint32_t want, double &cost);
 
     /**
      * Find, lock, and install a fresh data block for @p core (§4.2).

@@ -279,16 +279,4 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
     cursor.position = q;
 }
 
-Dump
-BTrace::dumpSince(uint64_t &cursor, bool close_active)
-{
-    DumpCursor c;
-    c.position = cursor;
-    DumpOptions opts;
-    opts.closeActive = close_active;
-    Dump d = dumpFrom(c, opts);
-    cursor = c.position;
-    return d;
-}
-
 } // namespace btrace

@@ -36,8 +36,8 @@ processExists(uint32_t pid)
 } // namespace
 
 BTrace::BTrace(AttachTag, std::unique_ptr<StorageBackend> backend,
-               const BTraceConfig &derived, const CostModel &model)
-    : Tracer(model), cfg(derived), cap(derived.blockSize),
+               const BTraceConfig &derived)
+    : cfg(derived), cap(derived.blockSize),
       numActive(derived.activeBlocks),
       maxN(derived.effectiveMaxBlocks()), span(std::move(backend))
 {
@@ -69,8 +69,7 @@ BTrace::BTrace(AttachTag, std::unique_ptr<StorageBackend> backend,
 }
 
 Expected<std::unique_ptr<BTrace>>
-BTrace::attachArena(std::unique_ptr<StorageBackend> backend,
-                    const CostModel &model)
+BTrace::attachArena(std::unique_ptr<StorageBackend> backend)
 {
     if (backend == nullptr)
         return errInvalidArgument("attachArena: null storage backend");
@@ -135,7 +134,7 @@ BTrace::attachArena(std::unique_ptr<StorageBackend> backend,
     cfg.cores = chdr->cores;
 
     std::unique_ptr<BTrace> bt(
-        new BTrace(AttachTag{}, std::move(backend), cfg, model));
+        new BTrace(AttachTag{}, std::move(backend), cfg));
     if (!bt->registerAttachment(/*is_owner=*/false))
         return errBusy("attachArena: attach registry full");
     return Expected<std::unique_ptr<BTrace>>(std::move(bt));

@@ -19,13 +19,13 @@ finishAttach(std::unique_ptr<StorageBackend> backend,
             std::to_string(backend->attachGeneration()) +
             ", expected " + std::to_string(opts.expectGeneration) +
             " (arena recycled, or another attacher raced in)");
-    return BTrace::attachArena(std::move(backend), opts.model);
+    return BTrace::attachArena(std::move(backend));
 }
 
 } // namespace
 
 Expected<Session>
-Session::create(const BTraceConfig &cfg, const CostModel &model)
+Session::create(const BTraceConfig &cfg)
 {
     if (Status st = cfg.validate(); !st.ok())
         return st;
@@ -47,7 +47,7 @@ Session::create(const BTraceConfig &cfg, const CostModel &model)
         // create path truncates, so nothing from the probe survives).
     }
     return Expected<Session>(
-        Session(std::make_unique<BTrace>(cfg, model)));
+        Session(std::make_unique<BTrace>(cfg)));
 }
 
 Expected<Session>

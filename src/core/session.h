@@ -42,9 +42,6 @@ struct AttachOptions
      * another attacher raced in between.
      */
     uint64_t expectGeneration = 0;
-
-    /** Cost model charged to this attachment's operations. */
-    CostModel model = CostModel::def();
 };
 
 /**
@@ -62,9 +59,7 @@ class Session
      * OS-level storage failures (unopenable path, failed mmap) on the
      * arena backends come back as IoError.
      */
-    static Expected<Session> create(
-        const BTraceConfig &cfg,
-        const CostModel &model = CostModel::def());
+    static Expected<Session> create(const BTraceConfig &cfg);
 
     /**
      * Attach to the tracer inside the named file arena: NotFound for

@@ -135,12 +135,13 @@ ConsumerDaemon::drainLocked(const DumpOptions &opts,
     const bool sawLoss = d.overwrittenPositions != 0 ||
                          d.skippedBlocks != 0 ||
                          d.abandonedBlocks != 0;
+    Status wrote;
     if (!d.entries.empty()) {
         // One walk encodes every record and folds its accounting into
         // pass-local state: a header copy, the lag batch, one tally
         // per run of a writer's consecutive records. None of it is
         // committed before the records are on disk, so a failed write
-        // leaves every counter as it was.
+        // commits none of it.
         const uint64_t now = wallClockNs();
         SegmentHeaderV2 hdr = segHdr;
         uint64_t payload = 0, sampled = 0, clamped = 0, unstamped = 0;
@@ -176,45 +177,55 @@ ConsumerDaemon::drainLocked(const DumpOptions &opts,
         // Records first, header second: a crash between the two
         // leaves the header *undercounting*, which the offline reader
         // reconciles (declared < scanned), never overcounting.
-        if (Status s = writeTraceRecords(segFd, recordBuf); !s.ok()) {
+        wrote = writeTraceRecords(segFd, recordBuf);
+        if (!wrote.ok()) {
+            // The cursor is already past these records, so they are
+            // lost: count them. writeTraceRecords cut any partial
+            // record off, so the next pass appends at a record
+            // boundary again.
+            st.unwrittenRecords += d.entries.size();
             lagBatch.clear();
-            return s;
+        } else {
+            segBytes += recordBuf.size() * sizeof(TraceDiskRecord);
+            if (hdr.firstDrainUnixNs == 0)
+                hdr.firstDrainUnixNs = now;
+            hdr.lastDrainUnixNs = now;
+            segHdr = hdr;
+            st.entries += d.entries.size();
+            st.payloadBytes += payload;
+            st.lagSampledRecords += sampled;
+            st.drainLagClamped += clamped;
+            st.lagUnstampedRecords += unstamped;
+            drainLag.merge(lagBatch);
+            for (const auto &[thread, run] : runs) {
+                ProducerTally &tally = producers[thread];
+                if (tally.records == 0 && tally.payloadBytes == 0)
+                    fresh.push_back(thread);
+                tally.records += run.records;
+                tally.payloadBytes += run.payloadBytes;
+            }
+            if (newestStamp != 0)
+                lastLagNs = now > newestStamp ? now - newestStamp : 0;
         }
-        segBytes += recordBuf.size() * sizeof(TraceDiskRecord);
-
-        if (hdr.firstDrainUnixNs == 0)
-            hdr.firstDrainUnixNs = now;
-        hdr.lastDrainUnixNs = now;
-        segHdr = hdr;
-        st.payloadBytes += payload;
-        st.lagSampledRecords += sampled;
-        st.drainLagClamped += clamped;
-        st.lagUnstampedRecords += unstamped;
-        drainLag.merge(lagBatch);
-        for (const auto &[thread, run] : runs) {
-            ProducerTally &tally = producers[thread];
-            if (tally.records == 0 && tally.payloadBytes == 0)
-                fresh.push_back(thread);
-            tally.records += run.records;
-            tally.payloadBytes += run.payloadBytes;
-        }
-        if (newestStamp != 0)
-            lastLagNs = now > newestStamp ? now - newestStamp : 0;
     }
+    // The pass's loss counts even when its records were not written:
+    // the cursor has moved past that loss as well.
     segHdr.overwrittenPositions += d.overwrittenPositions;
     segHdr.skippedBlocks += d.skippedBlocks;
     segHdr.abandonedBlocks += d.abandonedBlocks;
 
     ++st.drains;
-    st.entries += d.entries.size();
     st.overwrittenPositions += d.overwrittenPositions;
     st.skippedBlocks += d.skippedBlocks;
     st.abandonedBlocks += d.abandonedBlocks;
     st.unreadableBlocks += d.unreadableBlocks;
 
-    if (!d.entries.empty() || sawLoss)
-        return updateSegmentHeaderV2(segFd, segHdr);
-    return Status();
+    if (sawLoss || (wrote.ok() && !d.entries.empty())) {
+        const Status h = updateSegmentHeaderV2(segFd, segHdr);
+        if (wrote.ok())
+            return h;
+    }
+    return wrote;
 }
 
 Expected<uint64_t>
@@ -375,6 +386,9 @@ ConsumerDaemon::registerMetrics(MetricsRegistry &registry)
     counter("btraced_unreadable_blocks_total",
             "blocks walked past with writes unconfirmed (data loss)",
             &DaemonStats::unreadableBlocks);
+    counter("btraced_unwritten_records_total",
+            "drained records a failed segment append lost (data loss)",
+            &DaemonStats::unwrittenRecords);
     counter("btraced_payload_bytes_total",
             "payload bytes drained to segments",
             &DaemonStats::payloadBytes);

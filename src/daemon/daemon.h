@@ -5,12 +5,13 @@
  *
  * A daemon attaches to a shared arena as one more Session and runs a
  * drain loop: each tick pulls everything new through the incremental
- * consumer (dumpFrom with a persistent cursor), appends the decoded
- * entries to a bounded rotating segment file (trace_file.h format,
- * same as TracePersister), and every few ticks sweeps the arena for
- * leases held by producers that died (Session::sweepDeadOwners).
- * Producers in other processes never block on any of it — the §4.3
- * consumer contract.
+ * consumer (BTrace::dumpFrom with a persistent cursor), appends the
+ * decoded entries to a bounded rotating segment file (trace_file.h
+ * format), and every few ticks sweeps the arena for leases held by
+ * producers that died (Session::sweepDeadOwners). Producers in other
+ * processes never block on any of it — the §4.3 consumer contract.
+ * This is also the library's in-process persist mode (§2.1): run a
+ * daemon on the tracer's own Session and read its segments back.
  *
  * Observability rides the PR 4/5 planes: a MetricsRegistry gauge/
  * counter set (drains, entries, segments, reclaimed leases, data
@@ -94,6 +95,12 @@ struct DaemonStats
      * their entries never reach a segment. Not in the segment header.
      */
     uint64_t unreadableBlocks = 0;
+    /**
+     * Drained records whose segment append failed (ENOSPC, EFBIG).
+     * The cursor is already past them, so they never reach a
+     * segment. Not in the segment header.
+     */
+    uint64_t unwrittenRecords = 0;
     uint64_t payloadBytes = 0;   //!< sum of drained DumpEntry::size
     uint64_t lagSampledRecords = 0;    //!< wall-clock stamps, lag taken
     uint64_t lagUnstampedRecords = 0;  //!< logical stamps, no lag

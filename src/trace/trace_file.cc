@@ -63,26 +63,29 @@ writeTraceRecords(int fd, const std::vector<TraceDiskRecord> &records)
     if (records.empty())
         return Status();
     const auto bytes = records.size() * sizeof(TraceDiskRecord);
-    if (::write(fd, records.data(), bytes) != ssize_t(bytes))
-        return errIo("short write appending trace records");
-    return Status();
-}
-
-Status
-appendTraceRecords(int fd, const std::vector<DumpEntry> &entries,
-                   std::vector<TraceDiskRecord> &buf)
-{
-    buf.clear();
-    for (const DumpEntry &e : entries)
-        buf.push_back(TraceDiskRecord::fromEntry(e));
-    return writeTraceRecords(fd, buf);
+    const ssize_t n = ::write(fd, records.data(), bytes);
+    if (n == ssize_t(bytes))
+        return Status();
+    // A short write (ENOSPC, EFBIG) leaves a partial record behind,
+    // and every later append would decode at a shifted offset: cut
+    // the file back to where this append started.
+    if (n > 0) {
+        const off_t start = ::lseek(fd, -off_t(n), SEEK_CUR);
+        if (start < 0 || ::ftruncate(fd, start) != 0)
+            return errIo("short write appending trace records, and "
+                         "the partial record could not be cut off");
+    }
+    return errIo("short write appending trace records");
 }
 
 Status
 appendTraceRecords(int fd, const std::vector<DumpEntry> &entries)
 {
     std::vector<TraceDiskRecord> buf;
-    return appendTraceRecords(fd, entries, buf);
+    buf.reserve(entries.size());
+    for (const DumpEntry &e : entries)
+        buf.push_back(TraceDiskRecord::fromEntry(e));
+    return writeTraceRecords(fd, buf);
 }
 
 Expected<SegmentInfo>
@@ -157,34 +160,14 @@ readSegment(const std::string &path, bool strict)
     return Expected<SegmentInfo>(std::move(info));
 }
 
-namespace {
-
-Expected<std::vector<DumpEntry>>
-readImpl(const std::string &path, bool *torn, bool fail_on_torn)
-{
-    if (torn != nullptr)
-        *torn = false;
-    auto seg = readSegment(path, /*strict=*/fail_on_torn);
-    if (!seg.ok())
-        return seg.status();
-    if (torn != nullptr)
-        *torn = seg.value().torn;
-    return Expected<std::vector<DumpEntry>>(
-        std::move(seg.value().entries));
-}
-
-} // namespace
-
 Expected<std::vector<DumpEntry>>
 readTraceFile(const std::string &path)
 {
-    return readImpl(path, nullptr, /*fail_on_torn=*/true);
-}
-
-Expected<std::vector<DumpEntry>>
-readTraceFileLossy(const std::string &path, bool *torn)
-{
-    return readImpl(path, torn, /*fail_on_torn=*/false);
+    auto seg = readSegment(path, /*strict=*/true);
+    if (!seg.ok())
+        return seg.status();
+    return Expected<std::vector<DumpEntry>>(
+        std::move(seg.value().entries));
 }
 
 } // namespace btrace

@@ -1,13 +1,13 @@
 /**
  * @file
- * The on-disk trace file format shared by TracePersister and the
- * btraced consumer daemon's rotating segments.
+ * The on-disk trace file format of the btraced consumer daemon's
+ * rotating segments.
  *
  * Two versions share one record shape (fixed 24-byte records, one per
  * DumpEntry, appended with plain write(2)):
  *
- *  - "BTBTRPv1": an 8-byte magic followed directly by records. What
- *    every release up to PR 8 wrote; still fully readable.
+ *  - "BTBTRPv1": an 8-byte magic followed directly by records. The
+ *    daemon writes v2 only; v1 files still decode.
  *  - "BTBTRPv2": the magic, then a fixed SegmentHeaderV2 carrying the
  *    segment's provenance (writer pid + attach generation), its drain
  *    wall-clock window, per-category record/byte tallies, and the loss
@@ -155,19 +155,15 @@ Status writeSegmentHeaderV2(int fd, SegmentHeaderV2 &hdr);
  */
 Status updateSegmentHeaderV2(int fd, const SegmentHeaderV2 &hdr);
 
-/** Append @p records to @p fd in one write(2); short writes are IoError. */
+/**
+ * Append @p records to @p fd in one write(2). A short write is
+ * IoError, and the partial record it left is cut off again, so the
+ * file still ends at a record boundary and a later append decodes.
+ */
 Status writeTraceRecords(int fd,
                          const std::vector<TraceDiskRecord> &records);
 
-/**
- * Append @p entries as records to @p fd, encoded into @p buf (its
- * contents are replaced; a caller that keeps it across calls reuses
- * its capacity). Short writes are IoError.
- */
-Status appendTraceRecords(int fd, const std::vector<DumpEntry> &entries,
-                          std::vector<TraceDiskRecord> &buf);
-
-/** appendTraceRecords through a one-off buffer. */
+/** Encode @p entries as records and append them (writeTraceRecords). */
 Status appendTraceRecords(int fd, const std::vector<DumpEntry> &entries);
 
 /**
@@ -197,19 +193,12 @@ Expected<SegmentInfo> readSegment(const std::string &path,
                                   bool strict = false);
 
 /**
- * Read a persisted trace file back (either version; v2 headers are
+ * Read a trace file's records back (either version; v2 headers are
  * skipped). NotFound for a missing path, Corruption for a bad magic
- * or a torn (non-record-multiple) tail.
+ * or a torn (non-record-multiple) tail; readSegment(path, false)
+ * keeps the complete records of a torn file instead.
  */
 Expected<std::vector<DumpEntry>> readTraceFile(const std::string &path);
-
-/**
- * Best-effort variant: same decoding, but a torn tail is reported via
- * @p torn (when non-null) instead of failing the whole read. Missing
- * files and bad magic still fail.
- */
-Expected<std::vector<DumpEntry>>
-readTraceFileLossy(const std::string &path, bool *torn);
 
 } // namespace btrace
 

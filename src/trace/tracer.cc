@@ -49,28 +49,6 @@ Tracer::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
     return l;
 }
 
-void
-Tracer::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
-{
-    (void)opts;
-    // Trivial full-snapshot cursor: re-dump and keep entries above the
-    // stamp high-water mark. Stamps are the replay's monotone logic
-    // clock, so this returns exactly the new entries for every
-    // baseline without per-design cursor support.
-    Dump d = dump();
-    uint64_t high = cursor.position;
-    auto keep = d.entries.begin();
-    for (const DumpEntry &e : d.entries) {
-        if (e.stamp > cursor.position) {
-            high = std::max(high, e.stamp);
-            *keep++ = e;
-        }
-    }
-    d.entries.erase(keep, d.entries.end());
-    cursor.position = high;
-    out = std::move(d);
-}
-
 bool
 Tracer::record(uint16_t core, uint32_t thread, uint64_t stamp,
                uint32_t payload_len, uint16_t category, double *cost_out)

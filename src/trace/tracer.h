@@ -92,13 +92,13 @@ struct Dump
     uint64_t abandonedBlocks = 0;  //!< speculative reads that failed
     /**
      * Blocks with unconfirmed in-flight writes. Snapshot reads count
-     * every one they meet; BTrace's incremental reads (dumpFrom) count
+     * every one they meet; incremental reads (BTrace::dumpFrom) count
      * only those walked past for good, which is data loss.
      */
     uint64_t unreadableBlocks = 0;
     /**
-     * Incremental reads only (dumpFrom): positions whose data the
-     * producers lapped — between the caller's cursor and the
+     * Incremental reads only (BTrace::dumpFrom): positions whose data
+     * the producers lapped — between the caller's cursor and the
      * overwrite frontier before this read started, or overtaken by a
      * full buffer lap while the read was in flight. Permanently gone
      * data, not merely unreadable right now. Zero when the consumer
@@ -119,19 +119,18 @@ struct Dump
 };
 
 /**
- * Opaque incremental-read position for Tracer::dumpFrom(). Value-
- * initialize to start from the beginning; the tracer owns the meaning
- * of the fields (BTrace: a global block position; the baseline
- * fallback: a stamp high-water mark). Reuse the same cursor across
- * calls to receive only new data.
+ * Opaque incremental-read position for BTrace::dumpFrom(): the global
+ * block position the next read starts at. Value-initialize to start
+ * from the beginning; reuse the same cursor across calls to receive
+ * only new data.
  */
 struct DumpCursor
 {
-    uint64_t position = 0;  //!< tracer-private progress marker
+    uint64_t position = 0;  //!< next global block position to read
 };
 
 /**
- * Behavior switches for Tracer::dumpFrom(). The default (both off) is
+ * Behavior switches for BTrace::dumpFrom(). The default (both off) is
  * the conservative streaming read: completed blocks only, stop at the
  * first still-open block.
  */
@@ -359,30 +358,6 @@ class Tracer
 
     /** Non-destructive consumer snapshot of the retained entries. */
     virtual Dump dump() = 0;
-
-    /**
-     * Incremental consumer read: fill @p out with the entries that
-     * appeared since the last call with the same @p cursor, advancing
-     * the cursor. Whatever @p out held is replaced; BTrace reuses its
-     * entry capacity (Dump::reset), so a consumer that keeps one Dump
-     * across passes stops allocating once it is warm. @p opts
-     * selects close-on-read or snapshot-peek behavior for tracers that
-     * support it (BTrace). The base implementation is a trivial
-     * full-snapshot cursor — dump() filtered to stamps above the
-     * cursor's high-water mark — so callers can stream from any tracer
-     * without special-casing BTrace.
-     */
-    virtual void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
-                          Dump &out);
-
-    /** dumpFrom into a fresh Dump, returned by value. */
-    Dump
-    dumpFrom(DumpCursor &cursor, const DumpOptions &opts = {})
-    {
-        Dump out;
-        dumpFrom(cursor, opts, out);
-        return out;
-    }
 
     /**
      * Convenience blocking write: allocate (spinning on Retry, with

@@ -78,9 +78,9 @@ TEST(Harness, StaleAllocationForced)
     const uint32_t r0 = insp.confirmed(m0).rnd;
 
     PreemptionInjector inj;
-    inj.armPark(YieldPoint::AllocPreReserve);
+    inj.armPark(YieldPoint::ReservePreClaim);
     std::thread t1([&] { EXPECT_TRUE(bt.record(0, 1, 2, 40)); });
-    ASSERT_TRUE(inj.awaitParked(YieldPoint::AllocPreReserve));
+    ASSERT_TRUE(inj.awaitParked(YieldPoint::ReservePreClaim));
 
     // Steal core 0's lagging block: drive core 1 around the window
     // until a wrap-around advancement closes and re-locks metadata m0.
@@ -89,7 +89,7 @@ TEST(Harness, StaleAllocationForced)
         ASSERT_TRUE(bt.record(1, 2, stamp++, 40));
     ASSERT_NE(insp.confirmed(m0).rnd, r0);
 
-    inj.release(YieldPoint::AllocPreReserve);
+    inj.release(YieldPoint::ReservePreClaim);
     t1.join();
 
     EXPECT_GE(bt.countersSnapshot().staleAllocs, 1u);

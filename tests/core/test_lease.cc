@@ -530,7 +530,7 @@ TEST(LeaseInterleaving, ClaimRacesRoundTurnover)
     // Prime core 0 so the lease path starts from a live block.
     ASSERT_TRUE(bt.record(0, 1, 1, 16));
 
-    inj.armPark(hooks::YieldPoint::LeasePreClaim);
+    inj.armPark(hooks::YieldPoint::ReservePreClaim);
     std::thread leaser([&]() {
         Lease l = bt.lease(0, 1, 16, 2);
         // Granted-after-retry or denied are both legal outcomes; the
@@ -544,14 +544,14 @@ TEST(LeaseInterleaving, ClaimRacesRoundTurnover)
         }
         l.close();
     });
-    ASSERT_TRUE(inj.awaitParked(hooks::YieldPoint::LeasePreClaim));
+    ASSERT_TRUE(inj.awaitParked(hooks::YieldPoint::ReservePreClaim));
 
     // Wrap far enough that core 0's metadata moves to a new round.
     uint64_t stamp = 1000;
     for (int i = 0; i < 4000; ++i)
         ASSERT_TRUE(bt.record(uint16_t(i % 4), 9, ++stamp, 16));
 
-    inj.release(hooks::YieldPoint::LeasePreClaim);
+    inj.release(hooks::YieldPoint::ReservePreClaim);
     leaser.join();
     EXPECT_EQ(bt.countersSnapshot().leasedOutstanding, 0u);
     expectCleanAudit(bt);

@@ -2,22 +2,29 @@
  * @file
  * Unit tests for the btraced drain loop (daemon/daemon.h): segment
  * writing and rotation, retention, the final close-active drain on
- * stop, stats accounting, and the shared trace-file codec's torn-tail
- * behavior that crash-robust collection depends on.
+ * stop, persist mode under concurrent producers, stats accounting
+ * (failed appends included), and the shared trace-file codec's
+ * torn-tail behavior that crash-robust collection depends on.
  */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "daemon/daemon.h"
 #include "obs/export.h"
@@ -304,6 +311,10 @@ TEST_F(DaemonTest, StopRunsFinalCloseActiveDrain)
     for (uint64_t st = 1; st <= 25; ++st)
         ASSERT_TRUE(daemon.session()->record(0, 1, st, 16));
     daemon.stop();
+    // Idempotent: a second stop neither drains nor rewrites anything.
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().drains, 1u);
+    EXPECT_EQ(daemon.stats().entries, 25u);
 
     auto loaded = readTraceFile(daemonSegmentPath(dir, 0));
     ASSERT_TRUE(loaded.ok());
@@ -336,6 +347,175 @@ TEST_F(DaemonTest, BackgroundThreadDrainsAndSweeps)
     EXPECT_GT(st.sweeps, 0u);
     EXPECT_EQ(st.entries, 200u);
     EXPECT_EQ(st.reclaimedLeases, 0u);  // nobody died
+}
+
+// Persist mode (§2.1): a background drain keeps the segments growing
+// past what the buffer holds while producers write.
+class PersisterTest : public DaemonTest
+{
+  protected:
+    /** Start a 0.5 ms background drain that never ages out segments. */
+    void
+    startPersisting()
+    {
+        auto s = Session::create(smallConfig());
+        ASSERT_TRUE(s.ok());
+        DaemonOptions opts;
+        opts.outDir = dir;
+        opts.drainIntervalSec = 0.0005;
+        opts.maxSegments = 0;
+        auto d = ConsumerDaemon::make(s.take(), opts);
+        ASSERT_TRUE(d.ok());
+        daemon = d.take();
+        daemon->start();
+    }
+
+    /**
+     * Stop the drain and check every persisted record: one per entry
+     * the daemon counted, each with an intact payload, a stamp in
+     * [1, maxStamp] and no stamp twice. Returns the persisted bytes.
+     */
+    uint64_t
+    stopAndCheck(uint64_t maxStamp)
+    {
+        daemon->stop();
+        const DaemonStats ds = daemon->stats();
+        uint64_t records = 0;
+        uint64_t bytes = 0;
+        std::set<uint64_t> stamps;
+        for (uint64_t i = 0; i < ds.segmentsOpened; ++i) {
+            auto seg = readTraceFile(daemonSegmentPath(dir, i));
+            EXPECT_TRUE(seg.ok()) << seg.status().toString();
+            if (!seg.ok())
+                continue;
+            for (const DumpEntry &e : seg.value()) {
+                EXPECT_TRUE(e.payloadOk) << e.stamp;
+                EXPECT_GE(e.stamp, 1u);
+                EXPECT_LE(e.stamp, maxStamp);
+                EXPECT_TRUE(stamps.insert(e.stamp).second) << e.stamp;
+                bytes += e.size;
+                ++records;
+            }
+        }
+        EXPECT_EQ(records, ds.entries);
+        return bytes;
+    }
+
+    std::unique_ptr<ConsumerDaemon> daemon;
+};
+
+TEST_F(PersisterTest, CapturesMoreThanBufferCapacity)
+{
+    // The whole point of persist mode: the segments outlive buffer
+    // wraps.
+    ASSERT_NO_FATAL_FAILURE(startPersisting());
+    BTrace &bt = daemon->session().tracer();
+    constexpr uint64_t kTotal = 40000;
+    for (uint64_t st = 1; st <= kTotal; ++st) {
+        ASSERT_TRUE(bt.record(uint16_t(st % 2), 1, st, 16));
+        if (st % 200 == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(stopAndCheck(kTotal), 10 * bt.capacityBytes());
+}
+
+TEST_F(PersisterTest, ConcurrentProducersWhilePersisting)
+{
+    // Two producers write concurrently with the drain; the segments
+    // still keep far more than the buffer holds.
+    ASSERT_NO_FATAL_FAILURE(startPersisting());
+    BTrace &bt = daemon->session().tracer();
+    std::atomic<uint64_t> stamp{0};
+    std::vector<std::thread> producers;
+    for (uint16_t c = 0; c < 2; ++c) {
+        producers.emplace_back([&, c]() {
+            for (int i = 1; i <= 20000; ++i) {
+                const uint64_t st =
+                    stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+                bt.record(c, c, st, 16);
+                if (i % 100 == 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+            }
+        });
+    }
+    for (std::thread &p : producers)
+        p.join();
+    EXPECT_GT(stopAndCheck(stamp.load()), 10 * bt.capacityBytes());
+}
+
+TEST_F(DaemonTest, FailedAppendIsCutOffAndCounted)
+{
+    // A segment append that stops short (ENOSPC, EFBIG) must not leave
+    // a partial record behind: every later record would decode at a
+    // shifted offset. The pass's records are lost, and counted.
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = true;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+    const std::string path = daemonSegmentPath(dir, 0);
+
+    recordOn(daemon.session(), 0, 1, 10);
+    auto first = daemon.drainOnce();
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first.value(), 10u);
+
+    // A file-size limit 10 bytes past the segment's end: the next
+    // append writes 10 bytes and stops short.
+    struct stat sb;
+    ASSERT_EQ(::stat(path.c_str(), &sb), 0);
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit tight = saved;
+    tight.rlim_cur = rlim_t(sb.st_size) + 10;
+    recordOn(daemon.session(), 0, 11, 10);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    const bool limited = ::setrlimit(RLIMIT_FSIZE, &tight) == 0;
+    auto failed = daemon.drainOnce();
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    ASSERT_TRUE(limited);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::IoError);
+
+    recordOn(daemon.session(), 0, 21, 10);
+    auto third = daemon.drainOnce();
+    ASSERT_TRUE(third.ok()) << third.status().toString();
+    EXPECT_EQ(third.value(), 10u);
+    daemon.stop();
+
+    const DaemonStats ds = daemon.stats();
+    EXPECT_EQ(ds.entries, 20u);
+    EXPECT_EQ(ds.unwrittenRecords, 10u);
+    MetricsRegistry registry;
+    daemon.registerMetrics(registry);
+    bool found = false;
+    for (const MetricValue &m : registry.collect().metrics)
+        if (m.name == "btraced_unwritten_records_total") {
+            found = true;
+            EXPECT_DOUBLE_EQ(m.value, 10.0);
+        }
+    EXPECT_TRUE(found);
+
+    // Every decoded record is one of the passes that landed.
+    auto seg = readSegment(path, /*strict=*/true);
+    ASSERT_TRUE(seg.ok()) << seg.status().toString();
+    EXPECT_EQ(seg.value().header.recordCount, 20u);
+    std::vector<uint64_t> got;
+    for (const DumpEntry &e : seg.value().entries) {
+        EXPECT_TRUE(e.payloadOk) << e.stamp;
+        EXPECT_EQ(e.size, 40u) << e.stamp;
+        got.push_back(e.stamp);
+    }
+    std::vector<uint64_t> want;
+    for (uint64_t st = 1; st <= 30; ++st)
+        if (st <= 10 || st > 20)
+            want.push_back(st);
+    EXPECT_EQ(got, want);
 }
 
 TEST_F(DaemonTest, DrainAfterStopFails)
@@ -802,12 +982,12 @@ TEST(TraceFileCodec, TornTailIsCorruptionStrictButReadableLossy)
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.status().code(), StatusCode::Corruption);
 
-    bool torn = false;
-    auto lossy = readTraceFileLossy(path, &torn);
+    auto lossy = readSegment(path, /*strict=*/false);
     ASSERT_TRUE(lossy.ok()) << lossy.status().toString();
-    EXPECT_TRUE(torn);
-    EXPECT_EQ(lossy.value().size(), 4u);  // every complete record
-    EXPECT_EQ(lossy.value().back().stamp, 4u);
+    EXPECT_TRUE(lossy.value().torn);
+    // Every complete record.
+    EXPECT_EQ(lossy.value().entries.size(), 4u);
+    EXPECT_EQ(lossy.value().entries.back().stamp, 4u);
     std::remove(path.c_str());
 }
 

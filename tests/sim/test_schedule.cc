@@ -142,7 +142,7 @@ TEST(Schedule, WorkingSetBoundedByActiveThreads)
 TEST(PreemptionInjector, ParksAndReleasesOneArrival)
 {
     PreemptionInjector inj;
-    const auto p = hooks::YieldPoint::AllocPreReserve;
+    const auto p = hooks::YieldPoint::ReservePreClaim;
     inj.armPark(p);
 
     std::atomic<int> phase{0};
@@ -197,7 +197,7 @@ TEST(PreemptionInjector, HooksAreFreeWhenNoInjectorExists)
     // With no injector the hook pointer is null and maybeYield is a
     // cheap no-op — the state the tracer runs in outside these tests.
     EXPECT_FALSE(hooks::hookInstalled());
-    hooks::maybeYield(hooks::YieldPoint::AllocPreReserve);
+    hooks::maybeYield(hooks::YieldPoint::ReservePreClaim);
     SUCCEED();
 }
 

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the tracer write API: ScopedWrite RAII semantics
  * (auto-commit, auto-abandon on unwind), record()'s retry-cost
- * charging, the base-class dumpFrom() cursor, and the single-entry
- * lease fallback that keeps baselines comparable with BTrace's
- * batched leases.
+ * charging, and the single-entry lease fallback that keeps baselines
+ * comparable with BTrace's batched leases.
  */
 
 #include <gtest/gtest.h>
@@ -145,27 +144,6 @@ TEST(Record, NoRetryChargesNoBackoff)
     double cost = 0.0;
     ASSERT_TRUE(tr.record(0, 1, 42, 16, 0, &cost));
     EXPECT_LT(cost, tr.model().retryBackoff);
-}
-
-TEST(DumpFrom, BaseCursorReturnsOnlyNewEntries)
-{
-    FtraceLike tr(ringConfig());
-    for (uint64_t s = 1; s <= 5; ++s)
-        ASSERT_TRUE(tr.record(0, 1, s, 16));
-
-    DumpCursor cur;
-    const Dump first = tr.dumpFrom(cur);
-    EXPECT_EQ(first.entries.size(), 5u);
-
-    const Dump empty = tr.dumpFrom(cur);
-    EXPECT_EQ(empty.entries.size(), 0u);
-
-    for (uint64_t s = 6; s <= 8; ++s)
-        ASSERT_TRUE(tr.record(1, 2, s, 16));
-    const Dump second = tr.dumpFrom(cur);
-    ASSERT_EQ(second.entries.size(), 3u);
-    for (const DumpEntry &e : second.entries)
-        EXPECT_GT(e.stamp, 5u);
 }
 
 TEST(LeaseFallback, ServesThroughAllocateAndReportsExhaustion)

@@ -11,8 +11,8 @@
  *   btrace_inspect --control <ring.arena>
  *   btrace_inspect --segments <dir|segment.btrace>
  *
- * Prints the per-core/per-category summary of a file written by
- * TracePersister, optionally exports it for Perfetto/chrome://tracing
+ * Prints the per-core/per-category summary of a trace file (a btraced
+ * segment or v1 file), optionally exports it for Perfetto/chrome://tracing
  * or spreadsheets, shows the first N entries, and reports continuity
  * gaps in the stamp sequence. With --metrics, the input is instead an
  * observability JSON-lines file (replay --obs-json / StatsSampler) and
@@ -57,12 +57,12 @@
 #include "common/storage_backend.h"
 #include "control/snapshot.h"
 #include "core/arena_control.h"
-#include "core/persister.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "trace/event.h"
 #include "trace/segment_stats.h"
+#include "trace/trace_file.h"
 
 using namespace btrace;
 
@@ -725,7 +725,7 @@ main(int argc, char **argv)
         }
     }
 
-    auto loaded = TracePersister::tryLoad(input);
+    auto loaded = readTraceFile(input);
     if (!loaded.ok()) {
         std::fprintf(stderr, "%s\n", loaded.status().toString().c_str());
         return exitCodeFor(loaded.status().code());
