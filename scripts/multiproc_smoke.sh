@@ -55,6 +55,10 @@ echo "== 1. exit-code contract on error paths"
 [ $? -eq 3 ] || fail "attach to missing arena should exit 3 (not-found)"
 "$PRODUCER" --bogus-flag 2>/dev/null
 [ $? -eq 2 ] || fail "bad usage should exit 2 (invalid-argument)"
+for flag in --help --bogus-flag; do
+    "$INSPECT" "$flag" 2>/dev/null
+    [ $? -eq 2 ] || fail "btrace_inspect $flag should print usage, exit 2"
+done
 
 echo "== 2. daemon creates the arena and drains it"
 "$BTRACED" --arena "$ARENA" --create --out "$SEGS" \

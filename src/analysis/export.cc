@@ -29,20 +29,6 @@ registryOf(const ExportOptions &opt)
     return opt.registry ? *opt.registry : TracepointRegistry::global();
 }
 
-/** Name of @p id, or "cat-<id>" when the registry does not know it. */
-std::string
-nameOf(const TracepointRegistry &reg, uint16_t id)
-{
-    const Tracepoint &tp = reg.byId(id);
-    if (id != 0 && tp.id == 0)
-        return "cat-" + std::to_string(id);
-    return tp.name;
-}
-
-} // namespace
-
-namespace {
-
 /** The entry events of exportChromeJson, without the wrapper. */
 std::string
 entryTraceEvents(const std::vector<DumpEntry> &entries,

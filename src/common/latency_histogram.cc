@@ -66,14 +66,14 @@ HistogramSnapshot::merge(const HistogramSnapshot &other)
     return *this;
 }
 
-ConcurrentHistogram::ConcurrentHistogram(unsigned shards)
+ConcurrentHistogram::ConcurrentHistogram(unsigned shard_count)
 {
-    if (shards == 0) {
+    if (shard_count == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
-        shards = std::clamp(hw, 2u, 16u);
+        shard_count = std::clamp(hw, 2u, 16u);
     }
-    nShards = shards;
-    this->shards = std::make_unique<Shard[]>(nShards);
+    nShards = shard_count;
+    shards = std::make_unique<Shard[]>(nShards);
     clear();
 }
 

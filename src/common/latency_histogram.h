@@ -74,8 +74,8 @@ class ConcurrentHistogram
     static constexpr std::size_t kBuckets =
         kSubCount + std::size_t(kMaxExp - kSubBits + 1) * kSubCount + 1;
 
-    /** @p shards 0 picks a default sized for typical core counts. */
-    explicit ConcurrentHistogram(unsigned shards = 0);
+    /** @p shard_count 0 picks a default sized for typical core counts. */
+    explicit ConcurrentHistogram(unsigned shard_count = 0);
 
     ConcurrentHistogram(const ConcurrentHistogram &) = delete;
     ConcurrentHistogram &operator=(const ConcurrentHistogram &) = delete;

@@ -864,6 +864,14 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
             return AdvanceResult::LostRace;
         }
 
+        // The block is ours: start every line past the header on its
+        // way into this cache for write, so the entries that fill it
+        // do not take their misses one at a time (nor the confirm
+        // FAAs wait for them to drain).
+        for (std::size_t off = cacheLineSize; off < cap;
+             off += cacheLineSize)
+            __builtin_prefetch(blk + off, 1, 3);
+
         // The block we leave looked exhausted, but a lease may have
         // handed its tail back since (giveBackTail, which pairs with
         // this seq_cst check); no writer of the core returns to it, so

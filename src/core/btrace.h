@@ -398,13 +398,6 @@ class BTrace : public Tracer
     friend class BTraceInspector;  //!< white-box test access
     friend class BTraceAuditor;    //!< post-quiesce invariant checker
 
-    /**
-     * Live atomic counters. Test-only: white-box friends may read the
-     * atomics directly; every other consumer goes through
-     * countersSnapshot() to avoid torn cross-field reads.
-     */
-    const BTraceCounters &counters() const { return ctrs; }
-
     enum class AdvanceResult { Advanced, LostRace, WouldBlock };
 
     /** Tag selecting the attach-to-existing-arena constructor. */

@@ -192,7 +192,9 @@ BTrace::registerLeaseOwner(uint32_t slot, uint32_t rnd,
                            uint32_t span_start, uint32_t span_len,
                            uint64_t block_pos, uint64_t seq)
 {
-    // Rotating per-thread probe start spreads concurrent producers
+    // Per-thread probe start: a thread re-claims the record its last
+    // lease freed, a line still in its own cache; a record another
+    // thread holds moves the probe on, so concurrent producers spread
     // over the table instead of contending on record 0.
     static thread_local uint32_t probe_hint = 0;
     for (std::size_t p = 0; p < kLeaseOwnerSlots; ++p) {
@@ -216,7 +218,7 @@ BTrace::registerLeaseOwner(uint32_t slot, uint32_t rnd,
         r.blockPos.store(block_pos, std::memory_order_relaxed);
         r.state.store(LeaseOwnerRecord::Active,
                       std::memory_order_release);
-        probe_hint = i + 1;
+        probe_hint = i;
         return i + 1;
     }
     // Table full: the lease proceeds untracked — exactly the

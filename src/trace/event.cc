@@ -6,19 +6,7 @@ namespace btrace {
 
 namespace {
 
-// Blocks are written by producers while consumers read them
-// speculatively (§4.3), and EntryCursor parses those shared blocks in
-// place. All accesses are whole-word relaxed atomics, so the
-// seqlock-style validation is race-free; torn *logical* content is
-// caught by the consumer's post-parse metadata/header re-check.
-
-void
-storeWord(uint8_t *dst, uint64_t word)
-{
-    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(dst))
-        .store(word, std::memory_order_relaxed);
-}
-
+/** The load half of storeWord (event.h): one relaxed aligned word. */
 uint64_t
 loadWord(const uint8_t *src)
 {
@@ -30,21 +18,6 @@ loadWord(const uint8_t *src)
 constexpr uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
 constexpr uint64_t kHigh = 0x8080808080808080ull;
 
-/**
- * payloadByte(stamp, 8 * k + b) for b = 0..7, packed the way
- * writeNormal packs a payload word (byte b at bits 8b). Each byte is
- * base + 7b mod 256; the byte-wise add keeps carries inside a byte
- * (the offsets are below 0x80).
- */
-uint64_t
-payloadWord(uint64_t stamp, std::size_t k)
-{
-    const uint64_t b =
-        uint64_t(payloadByte(stamp, 8 * k)) * 0x0101010101010101ull;
-    constexpr uint64_t offsets = 0x312a231c150e0700ull;  // 7b per byte
-    return ((b & kLow7) + offsets) ^ (b & kHigh);
-}
-
 /** High bit set in exactly the bytes of @p v that are nonzero. */
 uint64_t
 nonzeroBytes(uint64_t v)
@@ -53,29 +26,6 @@ nonzeroBytes(uint64_t v)
 }
 
 } // namespace
-
-void
-writeNormal(uint8_t *dst, uint64_t stamp, uint16_t core, uint32_t thread,
-            uint16_t category, std::size_t payload_len)
-{
-    const auto size = static_cast<uint32_t>(
-        EntryLayout::normalSize(payload_len));
-    storeWord(dst, Descriptor::pack(EntryType::Normal, category, size));
-    storeWord(dst + 8, stamp);
-    storeWord(dst + 16, Origin::pack(core, thread));
-    uint8_t *payload = dst + EntryLayout::normalHeaderBytes;
-    const std::size_t padded = size - EntryLayout::normalHeaderBytes;
-    for (std::size_t w = 0; w < padded; w += 8) {
-        uint64_t word = 0;
-        for (std::size_t b = 0; b < 8; ++b) {
-            const std::size_t i = w + b;
-            const uint8_t byte =
-                i < payload_len ? payloadByte(stamp, i) : 0;
-            word |= uint64_t(byte) << (8 * b);
-        }
-        storeWord(payload + w, word);
-    }
-}
 
 void
 writeDummy(uint8_t *dst, std::size_t len)

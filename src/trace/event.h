@@ -23,6 +23,7 @@
 #ifndef BTRACE_TRACE_EVENT_H
 #define BTRACE_TRACE_EVENT_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -115,10 +116,60 @@ payloadByte(uint64_t stamp, std::size_t index)
     return static_cast<uint8_t>(stamp * 31 + index * 7 + 0x5a);
 }
 
-/** Write a normal entry of normalSize(payload_len) bytes at @p dst. */
-void writeNormal(uint8_t *dst, uint64_t stamp, uint16_t core,
-                 uint32_t thread, uint16_t category,
-                 std::size_t payload_len);
+/**
+ * payloadByte(stamp, 8 * k + b) for b = 0..7, packed the way
+ * writeNormal packs a payload word (byte b at bits 8b). Each byte is
+ * base + 7b mod 256; the byte-wise add keeps carries inside a byte
+ * (the offsets are below 0x80).
+ */
+inline uint64_t
+payloadWord(uint64_t stamp, std::size_t k)
+{
+    constexpr uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+    constexpr uint64_t high = 0x8080808080808080ull;
+    constexpr uint64_t offsets = 0x312a231c150e0700ull;  // 7b per byte
+    const uint64_t b =
+        uint64_t(payloadByte(stamp, 8 * k)) * 0x0101010101010101ull;
+    return ((b & low7) + offsets) ^ (b & high);
+}
+
+/**
+ * Store one aligned entry word. Blocks are written by producers while
+ * consumers parse them in place (§4.3), so every entry access is a
+ * whole-word relaxed atomic: the seqlock-style validation stays
+ * race-free, and torn *logical* content is caught by the consumer's
+ * post-parse metadata/header re-check.
+ */
+inline void
+storeWord(uint8_t *dst, uint64_t word)
+{
+    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(dst))
+        .store(word, std::memory_order_relaxed);
+}
+
+/**
+ * Write a normal entry of normalSize(payload_len) bytes at @p dst.
+ * The payload goes in whole pattern words; the last partial word is
+ * masked so its padding bytes stay zero.
+ */
+inline void
+writeNormal(uint8_t *dst, uint64_t stamp, uint16_t core, uint32_t thread,
+            uint16_t category, std::size_t payload_len)
+{
+    const auto size = static_cast<uint32_t>(
+        EntryLayout::normalSize(payload_len));
+    storeWord(dst, Descriptor::pack(EntryType::Normal, category, size));
+    storeWord(dst + 8, stamp);
+    storeWord(dst + 16, Origin::pack(core, thread));
+    uint8_t *payload = dst + EntryLayout::normalHeaderBytes;
+    const std::size_t full = payload_len / 8;
+    for (std::size_t k = 0; k < full; ++k)
+        storeWord(payload + 8 * k, payloadWord(stamp, k));
+    if (const std::size_t tail = payload_len % 8)
+        storeWord(payload + 8 * full,
+                  payloadWord(stamp, full) &
+                      ((uint64_t(1) << (8 * tail)) - 1));
+}
 
 /** Write a dummy entry spanning exactly @p len bytes (len >= 8). */
 void writeDummy(uint8_t *dst, std::size_t len);

@@ -9,17 +9,10 @@
 namespace btrace {
 
 bool
-Tracer::shouldRecord(uint16_t category, uint32_t thread,
-                     uint64_t stamp) const
+Tracer::sampled(const ControlSnapshot &cs, uint16_t category,
+                uint32_t thread, uint64_t stamp)
 {
-    // The entire cost at defaults: one load, one branch. Acquire, not
-    // relaxed: a non-null snapshot was built just before its release
-    // store, and its fields are read below (a plain load on x86).
-    const ControlSnapshot *cs =
-        control.load(std::memory_order_acquire);
-    if (cs == nullptr) [[likely]]
-        return true;
-    return cs->shouldRecord(category, thread, stamp);
+    return cs.shouldRecord(category, thread, stamp);
 }
 
 void

@@ -399,10 +399,19 @@ class Tracer
      * engine, btrace_producer) call it before allocating an entry.
      * With controls at defaults this is one acquire load and a
      * predicted-not-taken branch — zero shared RMWs, the same bar as
-     * the journal and the profiler.
+     * the journal and the profiler — inlined into every caller.
      */
-    bool shouldRecord(uint16_t category, uint32_t thread,
-                      uint64_t stamp) const;
+    bool
+    shouldRecord(uint16_t category, uint32_t thread, uint64_t stamp) const
+    {
+        // Acquire, not relaxed: a non-null snapshot was built just
+        // before its release store, and sampled() reads its fields (a
+        // plain load on x86).
+        const ControlSnapshot *cs = control.load(std::memory_order_acquire);
+        if (cs == nullptr) [[likely]]
+            return true;
+        return sampled(*cs, category, thread, stamp);
+    }
 
     /**
      * Attach (or detach, with nullptr) the cost-attribution profiler
@@ -505,6 +514,10 @@ class Tracer
     const CostModel costs;
 
   private:
+    /** The sampling decision of a published snapshot (tracer.cc). */
+    static bool sampled(const ControlSnapshot &cs, uint16_t category,
+                        uint32_t thread, uint64_t stamp);
+
     /** Effective control snapshot; nullptr = all-defaults (no gate). */
     std::atomic<const ControlSnapshot *> control{nullptr};
     /** Armed cost profiler; nullptr = probes disarmed (the default). */

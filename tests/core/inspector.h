@@ -37,8 +37,11 @@ class BTraceInspector
 
     std::size_t activeBlocks() const { return bt.numActive; }
 
-    /** Live atomic counters (test-only; prefer countersSnapshot()). */
-    const BTraceCounters &rawCounters() const { return bt.ctrs; }
+    /** Lease owner record @p i of a shared arena's control region. */
+    const LeaseOwnerRecord &ownerRecord(std::size_t i) const
+    {
+        return bt.ctrl.owners[i];
+    }
 
     uint64_t physicalOf(uint64_t pos) const { return bt.physicalOf(pos); }
 

@@ -25,14 +25,6 @@ smallConfig(std::size_t block = 256, std::size_t blocks = 32,
     return cfg;
 }
 
-/** Fill one 256-byte block of @p core: 6 confirmed 40-byte entries. */
-void
-fillOneBlock(BTrace &bt, uint16_t core, uint64_t base_stamp)
-{
-    for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(bt.record(core, 1, base_stamp + uint64_t(i), 16));
-}
-
 TEST(Advancement, WrapAroundReusesBlocks)
 {
     // One core writes 10x the buffer; positions must wrap and reuse
@@ -166,8 +158,9 @@ TEST(Advancement, RoundMappingMatchesPositionArithmetic)
         EntryCursor cur(blk, EntryLayout::blockHeaderBytes);
         EntryView v;
         ASSERT_TRUE(cur.next(v));
-        if (v.type == EntryType::BlockHeader)
+        if (v.type == EntryType::BlockHeader) {
             EXPECT_EQ(v.stamp, pos) << "metadata " << m;
+        }
         // (Skip markers may legitimately replace a header.)
     }
 }

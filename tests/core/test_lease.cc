@@ -63,8 +63,9 @@ TEST(Lease, GrantServeConfirmClose)
         WriteTicket t = l.allocate(16);
         ASSERT_TRUE(t.ok());
         EXPECT_TRUE(t.leased);
-        if (prev != nullptr)
+        if (prev != nullptr) {
             EXPECT_EQ(t.dst, prev + EntryLayout::normalSize(16));
+        }
         prev = t.dst;
         writeNormal(t.dst, uint64_t(i) + 1, 0, 7, 0, 16);
         l.confirm(t);

@@ -26,6 +26,7 @@
 #include "common/test_hooks.h"
 #include "core/auditor.h"
 #include "core/session.h"
+#include "inspector.h"
 
 namespace btrace {
 namespace {
@@ -348,6 +349,49 @@ TEST(MultiProcess, KilledChildWithoutLeaseOnlyClearsRegistry)
     // The child's confirmed entries survive the crash.
     const Dump d = o->dump();
     EXPECT_EQ(d.entries.size(), 10u);
+}
+
+/** Owner records ever stamped in @p bt's table (any state). */
+std::size_t
+stampedOwnerRecords(BTrace &bt)
+{
+    const BTraceInspector insp(bt);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < kLeaseOwnerSlots; ++i)
+        n += insp.ownerRecord(i).leaseSeq.load(
+                 std::memory_order_acquire) != 0;
+    return n;
+}
+
+TEST(MultiProcess, BackToBackLeasesReuseOneOwnerRecord)
+{
+    auto owner = Session::create(shmConfig());
+    ASSERT_TRUE(owner.ok()) << owner.status().toString();
+    Session o = owner.take();
+
+    // Each lease re-claims the record the previous close freed. The
+    // thread's probe start carries over from earlier tests in this
+    // binary, so count the stamps instead of naming an index.
+    for (uint64_t k = 1; k <= 10; ++k) {
+        Lease l = o->lease(0, 1, 16, 2);
+        ASSERT_TRUE(l.ok());
+        WriteTicket t = l.allocate(16);
+        ASSERT_TRUE(t.ok());
+        writeNormal(t.dst, k, 0, 1, 0, 16);
+        l.confirm(t);
+        l.close();
+    }
+    EXPECT_EQ(stampedOwnerRecords(o.tracer()), 1u);
+
+    // A lease opened while another is still open needs its own record.
+    Lease a = o->lease(0, 1, 16, 1);
+    Lease b = o->lease(1, 1, 16, 1);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(stampedOwnerRecords(o.tracer()), 2u);
+    a.close();
+    b.close();
+    expectAuditClean(o.tracer(), shmConfig().activeBlocks);
 }
 
 } // namespace

@@ -56,8 +56,8 @@ TEST(Profiler, CalibrationIsSane)
     EXPECT_LT(p.probeOverheadNs(), 10000.0);
     // The raw counter itself must move.
     const uint64_t t0 = profilerTicks();
-    for (volatile int i = 0; i < 100000; ++i) {
-    }
+    for (volatile int i = 0; i < 100000;)
+        i = i + 1;
     EXPECT_GT(profilerTicks(), t0);
 }
 
@@ -281,8 +281,9 @@ TEST(Profiler, MetricsRegistryExportsProfileFamily)
     for (const HistogramValue &h : c.histograms)
         if (h.name.rfind("btrace_profile_", 0) == 0) {
             ++phaseHists;
-            if (h.name == "btrace_profile_claim_ns")
+            if (h.name == "btrace_profile_claim_ns") {
                 EXPECT_GE(h.count, 50u);
+            }
         }
     EXPECT_EQ(phaseHists, kProfilePhases);
 }
@@ -297,8 +298,8 @@ TEST(Profiler, PerfCountersOpenOrExplain)
         EXPECT_TRUE(c.ok());
         EXPECT_TRUE(c.error().empty());
         c.reset();
-        for (volatile int i = 0; i < 1000000; ++i) {
-        }
+        for (volatile int i = 0; i < 1000000;)
+            i = i + 1;
         const PerfSample s = c.read();
         EXPECT_GT(s.cycles, 0u);
     } else {

@@ -126,8 +126,9 @@ TEST(TraceExport, NsPerTickScalesTimestamps)
     opt.nsPerTick = 100.0;  // 10 ticks = 1000 ns = 1 us
     const JsonValue root = parseDoc(exportJournalChromeJson(recs, opt));
     for (const JsonValue &e : eventsOf(root).arr) {
-        if (strField(e, "ph") == "X")
+        if (strField(e, "ph") == "X") {
             EXPECT_EQ(numField(e, "dur"), 1.0);
+        }
     }
 }
 
@@ -229,8 +230,9 @@ TEST(TraceExport, EveryEventHasRequiredFields)
             continue;
         ASSERT_NE(e.find("ts"), nullptr);
         EXPECT_GE(numField(e, "ts"), 0.0);
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(numField(e, "dur"), 0.0);
+        }
         if (ph == "i") {
             const std::string scope = strField(e, "s");
             EXPECT_TRUE(scope == "t" || scope == "p" || scope == "g")

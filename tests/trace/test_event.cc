@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/prng.h"
@@ -188,6 +189,67 @@ bytewisePayloadOk(const uint8_t *payload, std::size_t padded,
         if (payload[i] != payloadByte(stamp, i) && payload[i] != 0)
             return false;
     return true;
+}
+
+// Byte-loop reference of a whole normal entry: descriptor, stamp and
+// origin words, then payloadByte(stamp, i) for every payload byte and
+// zero padding up to the next word boundary.
+std::vector<uint8_t>
+bytewiseNormal(uint64_t stamp, uint16_t core, uint32_t thread,
+               uint16_t category, std::size_t len)
+{
+    const std::size_t size = EntryLayout::normalSize(len);
+    std::vector<uint8_t> out(size, 0);
+    const uint64_t header[] = {
+        Descriptor::pack(EntryType::Normal, category, uint32_t(size)),
+        stamp, Origin::pack(core, thread)};
+    std::memcpy(out.data(), header, sizeof(header));
+    for (std::size_t i = 0; i < len; ++i)
+        out[EntryLayout::normalHeaderBytes + i] = payloadByte(stamp, i);
+    return out;
+}
+
+TEST(WriteNormal, WordwiseFillMatchesByteLoop)
+{
+    // Every payload length up to 520 bytes, so every len % 8 and thus
+    // every mask of the last partial word, over 4168 seeded stamps.
+    // The buffer starts as garbage and runs past the entry: padding
+    // must come out zero and nothing past the entry may be written.
+    constexpr std::size_t kMaxLen = 520;
+    constexpr uint8_t kGarbage = 0xa5;
+    alignas(8) uint8_t buf[EntryLayout::normalSize(kMaxLen) + 16];
+    Prng rng(0xf111);
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (int s = 0; s < 8; ++s) {
+            const uint64_t stamp =
+                s == 0 ? 0 : s == 1 ? ~uint64_t(0) : rng.next();
+            const auto core = uint16_t(rng.next());
+            const auto thread = uint32_t(rng.next());
+            const auto category = uint16_t(rng.next());
+            std::memset(buf, kGarbage, sizeof(buf));
+            writeNormal(buf, stamp, core, thread, category, len);
+
+            const std::vector<uint8_t> want =
+                bytewiseNormal(stamp, core, thread, category, len);
+            ASSERT_EQ(std::memcmp(buf, want.data(), want.size()), 0)
+                << "len " << len << " stamp " << stamp;
+            for (std::size_t i = want.size(); i < sizeof(buf); ++i)
+                ASSERT_EQ(buf[i], kGarbage) << "len " << len;
+
+            EntryCursor cur(buf, want.size());
+            EntryView v;
+            ASSERT_TRUE(cur.next(v));
+            EXPECT_EQ(v.type, EntryType::Normal);
+            EXPECT_EQ(v.size, want.size());
+            EXPECT_EQ(v.stamp, stamp);
+            EXPECT_EQ(v.core, core);
+            EXPECT_EQ(v.thread, thread);
+            EXPECT_EQ(v.category, category);
+            ASSERT_TRUE(v.payloadOk) << "len " << len << " stamp " << stamp;
+            EXPECT_FALSE(cur.next(v));
+            EXPECT_FALSE(cur.malformed());
+        }
+    }
 }
 
 TEST(EntryCursor, WordwisePayloadCheckMatchesByteLoop)

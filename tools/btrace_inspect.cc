@@ -40,7 +40,8 @@
  * tool renders only the `btrace_profile_*` family (replay --profile /
  * registerProfilerMetrics, DESIGN.md §14): the per-phase cost
  * attribution table of the last sample — offline, from the stream
- * alone, no live process needed.
+ * alone, no live process needed. Any other first argument starting
+ * with '-' (--help included) prints this usage and exits 2.
  */
 
 #include <algorithm>
@@ -706,6 +707,8 @@ main(int argc, char **argv)
         return argc == 3 ? inspectControl(argv[2]) : usage();
     if (std::strcmp(argv[1], "--segments") == 0)
         return argc == 3 ? inspectSegments(argv[2]) : usage();
+    if (argv[1][0] == '-')
+        return usage();  // --help, or a mode this tool does not have
     const std::string input = argv[1];
     std::string json_path, csv_path;
     long head = 0;
