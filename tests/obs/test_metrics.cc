@@ -241,6 +241,58 @@ TEST(Exporters, JsonLineRoundTrip)
     EXPECT_EQ(p.healthKinds[0], "lease_straggler_wedge");
 }
 
+TEST(Exporters, JsonLineGoldenBytes)
+{
+    // Exact bytes, so a writer change cannot move a comma, a digit or
+    // an escape unnoticed: keys and values with quote and backslash,
+    // integral / fractional / huge values, a histogram, two health
+    // events, and the empty sample.
+    ObsSample s;
+    s.seq = 42;
+    s.tSec = 2.5;
+    s.labels = {{"tracer", "BTrace"}, {"k\"ey", "back\\slash \"q\""}};
+    s.counters = {{"a_total", 10.0}, {"huge_total", 1e20}};
+    s.rates = {{"a_total", 2.5}, {"third", 1.0 / 3.0}, {"neg", -4.0}};
+    s.gauges = {{"ratio", 0.75}, {"zero", 0.0}};
+    HistogramValue h;
+    h.name = "lat_ns";
+    h.count = 7;
+    h.sum = 350;
+    h.p50 = 40;
+    h.p99 = 90;
+    h.p999 = 95;
+    h.max = 120;
+    s.histograms.push_back(h);
+    s.health.push_back(HealthEvent{HealthKind::StalledAdvancement, 41,
+                                   "head stuck at \"12\""});
+    s.health.push_back(
+        HealthEvent{HealthKind::ConsumerLagGrowth, 42, "lag\\grew"});
+
+    EXPECT_EQ(renderJsonLine(s),
+              R"({"seq":42,"t_sec":2.500000,)"
+              R"("labels":{"tracer":"BTrace","k\"ey":"back\\slash \"q\""},)"
+              R"("counters":{"a_total":10,"huge_total":1e+20},)"
+              R"("rates":{"a_total":2.5,"third":0.3333333333,"neg":-4},)"
+              R"("gauges":{"ratio":0.75,"zero":0},)"
+              R"("histograms":{"lat_ns":{"count":7,"sum":350,"p50":40,)"
+              R"("p99":90,"p999":95,"max":120}},)"
+              R"("health":[{"kind":"stalled_advancement",)"
+              R"("detail":"head stuck at \"12\""},)"
+              R"({"kind":"consumer_lag_growth","detail":"lag\\grew"}]})");
+    EXPECT_EQ(renderJsonLine(ObsSample{}),
+              R"({"seq":0,"t_sec":0.000000,"labels":{},"counters":{},)"
+              R"("rates":{},"gauges":{},"histograms":{},"health":[]})");
+}
+
+TEST(Exporters, JsonLineLabelControlCharsRoundTrip)
+{
+    ObsSample s;
+    s.labels = {{"note", "tab\there\nnew\rcr\x01soh"}};
+    const ParsedObsLine p = parseObsLine(renderJsonLine(s));
+    ASSERT_TRUE(p.ok) << p.error;
+    EXPECT_EQ(p.labels.at("note"), "tab\there\nnew\rcr\x01soh");
+}
+
 TEST(Exporters, ParseRejectsGarbage)
 {
     EXPECT_FALSE(parseObsLine("").ok);

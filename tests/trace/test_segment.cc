@@ -487,6 +487,109 @@ TEST_F(SegmentDirTest, JsonDocumentIsStableAndTruncates)
               std::string::npos);
 }
 
+TEST_F(SegmentDirTest, JsonGoldenBytes)
+{
+    // A v2 segment with drain provenance and loss counters (three
+    // producers, three categories, wall-clock stamps over two buckets)
+    // and a torn v1 segment of logical stamps after a rotation gap.
+    SegmentHeaderV2 hdr;
+    hdr.writerPid = 77;
+    hdr.firstDrainUnixNs = kWallClockStampFloorNs;
+    hdr.lastDrainUnixNs = kWallClockStampFloorNs + 3'000'000'000ull;
+    hdr.overwrittenPositions = 4;
+    hdr.skippedBlocks = 1;
+    hdr.abandonedBlocks = 2;
+    std::vector<DumpEntry> wall;
+    for (uint64_t k = 0; k < 6; ++k)
+        wall.push_back(DumpEntry{kWallClockStampFloorNs +
+                                     k * 400'000'000ull,
+                                 uint32_t(24 + 8 * k), 0,
+                                 uint32_t(100 + k % 3), uint16_t(k % 3),
+                                 true});
+    writeV2Segment(seg(0), wall, hdr);
+    writeV1Segment(seg(3), makeEntries(3, 5, 40, 9, 7));
+    {
+        const int fd = ::open(seg(3).c_str(), O_WRONLY | O_APPEND);
+        ASSERT_GE(fd, 0);
+        const char tail[5] = {1, 2, 3, 4, 5};
+        ASSERT_EQ(::write(fd, tail, sizeof(tail)), 5);
+        ::close(fd);
+    }
+
+    SegmentAggregator agg;
+    ASSERT_TRUE(agg.addAll(dir).ok());
+    EXPECT_EQ(agg.renderJson(10),
+              R"({"btrace_stats_version":1,"segments":{"scanned":2,)"
+              R"("v1":1,"v2":1,"torn":1,"dirty":0,"unreadable":0,)"
+              R"("rotation_gaps":1,"missing_indices":2},)"
+              R"("totals":{"records":9,"payload_bytes":384,)"
+              R"("wall_stamped_records":6,"min_stamp":5,)"
+              R"("max_stamp":1500000002000000000,)"
+              R"("first_drain_unix_ns":1500000000000000000,)"
+              R"("last_drain_unix_ns":1500000003000000000},)"
+              R"("retention":{"declared_records":6,)"
+              R"("declared_payload_bytes":264,"overwritten_positions":4,)"
+              R"("skipped_blocks":1,"abandoned_blocks":2,)"
+              R"("torn_tail_bytes":5,"header_scan_mismatch":true,)"
+              R"("retained_ratio":0.642857},"window_sec":3,)"
+              R"("categories":[{"category":7,"records":3,)"
+              R"("payload_bytes":120,"share":0.333333},{"category":0,)"
+              R"("records":2,"payload_bytes":72,"share":0.222222},)"
+              R"({"category":1,"records":2,"payload_bytes":88,)"
+              R"("share":0.222222},{"category":2,"records":2,)"
+              R"("payload_bytes":104,"share":0.222222}],)"
+              R"("categories_truncated":false,"producers":[{"producer":9,)"
+              R"("records":3,"payload_bytes":120,"rate_per_sec":1},)"
+              R"({"producer":100,"records":2,"payload_bytes":72,)"
+              R"("rate_per_sec":0.666667},{"producer":101,)"
+              R"("records":2,"payload_bytes":88,"rate_per_sec":0.666667},)"
+              R"({"producer":102,"records":2,"payload_bytes":104,)"
+              R"("rate_per_sec":0.666667}],"producers_truncated":false,)"
+              R"("buckets":[{"start_ns":1500000000000000000,)"
+              R"("records":3,"payload_bytes":96},)"
+              R"({"start_ns":1500000001000000000,"records":2,)"
+              R"("payload_bytes":104},{"start_ns":1500000002000000000,)"
+              R"("records":1,"payload_bytes":64}]})");
+    EXPECT_EQ(agg.renderJson(1),
+              R"({"btrace_stats_version":1,"segments":{"scanned":2,)"
+              R"("v1":1,"v2":1,"torn":1,"dirty":0,"unreadable":0,)"
+              R"("rotation_gaps":1,"missing_indices":2},)"
+              R"("totals":{"records":9,"payload_bytes":384,)"
+              R"("wall_stamped_records":6,"min_stamp":5,)"
+              R"("max_stamp":1500000002000000000,)"
+              R"("first_drain_unix_ns":1500000000000000000,)"
+              R"("last_drain_unix_ns":1500000003000000000},)"
+              R"("retention":{"declared_records":6,)"
+              R"("declared_payload_bytes":264,"overwritten_positions":4,)"
+              R"("skipped_blocks":1,"abandoned_blocks":2,)"
+              R"("torn_tail_bytes":5,"header_scan_mismatch":true,)"
+              R"("retained_ratio":0.642857},"window_sec":3,)"
+              R"("categories":[{"category":7,"records":3,)"
+              R"("payload_bytes":120,"share":0.333333}],)"
+              R"("categories_truncated":true,"producers":[{"producer":9,)"
+              R"("records":3,"payload_bytes":120,"rate_per_sec":1}],)"
+              R"("producers_truncated":true,)"
+              R"("buckets":[{"start_ns":1500000000000000000,)"
+              R"("records":3,"payload_bytes":96},)"
+              R"({"start_ns":1500000001000000000,"records":2,)"
+              R"("payload_bytes":104},{"start_ns":1500000002000000000,)"
+              R"("records":1,"payload_bytes":64}]})");
+    EXPECT_EQ(SegmentAggregator().renderJson(),
+              R"({"btrace_stats_version":1,"segments":{"scanned":0,)"
+              R"("v1":0,"v2":0,"torn":0,"dirty":0,"unreadable":0,)"
+              R"("rotation_gaps":0,"missing_indices":0},)"
+              R"("totals":{"records":0,"payload_bytes":0,)"
+              R"("wall_stamped_records":0,"min_stamp":0,"max_stamp":0,)"
+              R"("first_drain_unix_ns":0,"last_drain_unix_ns":0},)"
+              R"("retention":{"declared_records":0,)"
+              R"("declared_payload_bytes":0,"overwritten_positions":0,)"
+              R"("skipped_blocks":0,"abandoned_blocks":0,)"
+              R"("torn_tail_bytes":0,"header_scan_mismatch":false,)"
+              R"("retained_ratio":1},"window_sec":0,"categories":[],)"
+              R"("categories_truncated":false,"producers":[],)"
+              R"("producers_truncated":false,"buckets":[]})");
+}
+
 TEST_F(SegmentDirTest, DirtySegmentWithoutCleanClose)
 {
     writeV2Segment(seg(0), makeEntries(2), {}, /*cleanClose=*/false);
