@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared helpers for the reproduction bench binaries: flag parsing
- * (--scale, --duration, --seed, --quick, --obs-interval, --obs-json),
- * uniform headers so all experiment output looks alike, and a small
- * streaming JSON writer so every bench emits machine-readable results
- * (BENCH_*.json) with the same formatting.
+ * (--scale, --duration, --seed, --quick, --obs-interval, --obs-json)
+ * and uniform headers so all experiment output looks alike.
+ * Machine-readable results (BENCH_*.json) go through the common
+ * JsonWriter (common/json_writer.h).
  */
 
 #ifndef BTRACE_BENCH_BENCH_UTIL_H
@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 namespace btrace {
 
@@ -67,138 +66,6 @@ struct BenchArgs
         }
         return args;
     }
-};
-
-/**
- * Streaming writer for the BENCH_*.json result files: tracks nesting
- * and element commas so call sites only name keys and values. Output
- * is pretty-printed with two-space indents. Not a general-purpose
- * serializer — just enough for flat result dictionaries with nested
- * objects and numeric arrays.
- */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(const std::string &path)
-        : fp(std::fopen(path.c_str(), "w"))
-    {
-    }
-
-    ~JsonWriter()
-    {
-        if (fp != nullptr)
-            close();
-    }
-
-    JsonWriter(const JsonWriter &) = delete;
-    JsonWriter &operator=(const JsonWriter &) = delete;
-
-    bool ok() const { return fp != nullptr; }
-
-    void
-    beginObject(const char *key = nullptr)
-    {
-        item(key);
-        std::fputs("{", fp);
-        first.push_back(true);
-    }
-
-    void
-    beginArray(const char *key = nullptr)
-    {
-        item(key);
-        std::fputs("[", fp);
-        first.push_back(true);
-    }
-
-    void
-    endObject()
-    {
-        pop();
-        std::fputs("}", fp);
-    }
-
-    void
-    endArray()
-    {
-        pop();
-        std::fputs("]", fp);
-    }
-
-    void
-    field(const char *key, double v)
-    {
-        item(key);
-        std::fprintf(fp, "%.4f", v);
-    }
-
-    void
-    field(const char *key, unsigned long long v)
-    {
-        item(key);
-        std::fprintf(fp, "%llu", v);
-    }
-
-    void
-    element(double v)
-    {
-        item(nullptr);
-        std::fprintf(fp, "%.4f", v);
-    }
-
-    void
-    element(const std::string &v)
-    {
-        item(nullptr);
-        std::fprintf(fp, "\"%s\"", escaped(v).c_str());
-    }
-
-    /** Finish the document (closes the file; further calls invalid). */
-    void
-    close()
-    {
-        std::fputs("\n", fp);
-        std::fclose(fp);
-        fp = nullptr;
-    }
-
-  private:
-    static std::string
-    escaped(const std::string &s)
-    {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
-    }
-
-    void
-    item(const char *key)
-    {
-        if (!first.empty()) {
-            if (!first.back())
-                std::fputs(",", fp);
-            first.back() = false;
-            std::fprintf(fp, "\n%*s", int(2 * first.size()), "");
-        }
-        if (key != nullptr)
-            std::fprintf(fp, "\"%s\": ", key);
-    }
-
-    void
-    pop()
-    {
-        const bool empty = first.back();
-        first.pop_back();
-        if (!empty)
-            std::fprintf(fp, "\n%*s", int(2 * first.size()), "");
-    }
-
-    FILE *fp;
-    std::vector<bool> first;
 };
 
 /** Uniform experiment banner. */

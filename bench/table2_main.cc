@@ -7,11 +7,13 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 
 #include "analysis/continuity.h"
 #include "analysis/report.h"
 #include "bench_util.h"
+#include "common/json_writer.h"
 #include "common/stats.h"
 #include "core/btrace.h"
 #include "obs/btrace_metrics.h"
@@ -106,27 +108,24 @@ main(int argc, char **argv)
                 "(-%.1f%%; paper: 53 vs 63 ns, -20%%)\n",
                 bt_lat, ft_lat, 100.0 * (1.0 - bt_lat / ft_lat));
 
-    JsonWriter jw("BENCH_main.json");
-    if (!jw.ok()) {
-        std::fprintf(stderr, "cannot write BENCH_main.json\n");
-        return 1;
-    }
+    std::string doc;
+    JsonWriter jw(doc);
     jw.beginObject();
-    jw.field("scale", args.scale);
-    jw.field("duration_sec", args.duration);
-    jw.field("seed", static_cast<unsigned long long>(args.seed));
-    jw.beginArray("workloads");
+    jw.key("scale").fixed(args.scale, 4);
+    jw.key("duration_sec").fixed(args.duration, 4);
+    jw.field("seed", args.seed);
+    jw.key("workloads").beginArray();
     for (const std::string &n : names)
-        jw.element(n);
+        jw.value(n);
     jw.endArray();
-    jw.beginObject("tracers");
+    jw.key("tracers").beginObject();
     for (const TracerMetrics &row : rows) {
-        jw.beginObject(row.tracer.c_str());
+        jw.key(row.tracer).beginObject();
         const auto metric = [&jw](const char *key,
                                   const std::vector<double> &vals) {
-            jw.beginArray(key);
+            jw.key(key).beginArray();
             for (const double v : vals)
-                jw.element(v);
+                jw.fixed(v, 4);
             jw.endArray();
         };
         metric("latest_fragment_mb", row.latestFragmentMb);
@@ -136,15 +135,20 @@ main(int argc, char **argv)
         jw.endObject();
     }
     jw.endObject();
-    jw.beginObject("headline");
-    jw.field("btrace_fragment_mb", bt_frag);
-    jw.field("bbq_fragment_mb", bbq_frag);
-    jw.field("ftrace_fragment_mb", ft_frag);
-    jw.field("btrace_latency_ns", bt_lat);
-    jw.field("ftrace_latency_ns", ft_lat);
+    jw.key("headline").beginObject();
+    jw.key("btrace_fragment_mb").fixed(bt_frag, 4);
+    jw.key("bbq_fragment_mb").fixed(bbq_frag, 4);
+    jw.key("ftrace_fragment_mb").fixed(ft_frag, 4);
+    jw.key("btrace_latency_ns").fixed(bt_lat, 4);
+    jw.key("ftrace_latency_ns").fixed(ft_lat, 4);
     jw.endObject();
     jw.endObject();
-    jw.close();
+    std::ofstream out("BENCH_main.json");
+    out << doc << '\n';
+    if (!out) {
+        std::fprintf(stderr, "cannot write BENCH_main.json\n");
+        return 1;
+    }
     std::printf("wrote BENCH_main.json\n");
     return 0;
 }

@@ -5,21 +5,21 @@
 #include <sstream>
 
 #include "common/format.h"
+#include "common/json_writer.h"
+#include "trace/trace_file.h"
 
 namespace btrace {
 
 namespace {
 
 std::vector<DumpEntry>
-prepared(const std::vector<DumpEntry> &entries, const ExportOptions &opt)
+sortedByStamp(const std::vector<DumpEntry> &entries)
 {
     std::vector<DumpEntry> out = entries;
-    if (opt.sortByStamp) {
-        std::sort(out.begin(), out.end(),
-                  [](const DumpEntry &a, const DumpEntry &b) {
-                      return a.stamp < b.stamp;
-                  });
-    }
+    std::sort(out.begin(), out.end(),
+              [](const DumpEntry &a, const DumpEntry &b) {
+                  return a.stamp < b.stamp;
+              });
     return out;
 }
 
@@ -29,28 +29,44 @@ registryOf(const ExportOptions &opt)
     return opt.registry ? *opt.registry : TracepointRegistry::global();
 }
 
-/** The entry events of exportChromeJson, without the wrapper. */
-std::string
-entryTraceEvents(const std::vector<DumpEntry> &entries,
+/** The entry events of exportChromeJson, into the array open in @p w. */
+void
+writeEntryEvents(JsonWriter &w, const std::vector<DumpEntry> &entries,
                  const ExportOptions &opt)
 {
     const TracepointRegistry &reg = registryOf(opt);
-    std::ostringstream out;
-    bool first = true;
-    for (const DumpEntry &e : prepared(entries, opt)) {
-        if (!first)
-            out << ",";
-        first = false;
-        const double us = double(e.stamp) * opt.nsPerStamp / 1000.0;
-        out << "{\"name\":\"" << reg.byId(e.category).name
-            << "\",\"ph\":\"i\",\"s\":\"t\""
-            << ",\"ts\":" << fmtDouble(us, 3)
-            << ",\"pid\":" << e.core
-            << ",\"tid\":" << e.thread
-            << ",\"args\":{\"stamp\":" << e.stamp
-            << ",\"size\":" << e.size << "}}";
+    for (const DumpEntry &e : sortedByStamp(entries)) {
+        w.beginObject().field("name", reg.byId(e.category).name);
+        w.field("ph", "i").field("s", "t").key("ts");
+        // Chrome's ts is in microseconds. A stamp at or above the
+        // wall-clock floor is CLOCK_REALTIME ns (btrace_producer
+        // --wallclock-stamps), split in integers so no digit is lost;
+        // a logical stamp counts one microsecond.
+        if (e.stamp >= kWallClockStampFloorNs)
+            w.thousandths(e.stamp / 1000, unsigned(e.stamp % 1000));
+        else
+            w.thousandths(e.stamp, 0);
+        w.field("pid", e.core).field("tid", e.thread);
+        w.key("args").beginObject().field("stamp", e.stamp);
+        w.field("size", e.size).endObject().endObject();
     }
-    return out.str();
+}
+
+/** RFC 4180: a field holding a comma, quote or line break is quoted. */
+void
+writeCsvField(std::ostream &out, const std::string &field)
+{
+    if (field.find_first_of(",\"\n\r") == std::string::npos) {
+        out << field;
+        return;
+    }
+    out << '"';
+    for (const char c : field) {
+        if (c == '"')
+            out << '"';  // an embedded quote is doubled
+        out << c;
+    }
+    out << '"';
 }
 
 } // namespace
@@ -59,7 +75,7 @@ std::string
 exportChromeJson(const std::vector<DumpEntry> &entries,
                  const ExportOptions &opt)
 {
-    return "{\"traceEvents\":[" + entryTraceEvents(entries, opt) + "]}";
+    return exportChromeJsonWithJournal(entries, {}, opt);
 }
 
 std::string
@@ -68,14 +84,13 @@ exportChromeJsonWithJournal(const std::vector<DumpEntry> &entries,
                             const ExportOptions &opt,
                             const TraceEventExportOptions &jopt)
 {
-    const std::string entry_events = entryTraceEvents(entries, opt);
-    const std::string journal_events = journalTraceEvents(journal, jopt);
-    std::string out = "{\"traceEvents\":[";
-    out += entry_events;
-    if (!entry_events.empty() && !journal_events.empty())
-        out += ",";
-    out += journal_events;
-    out += "]}";
+    std::string out;
+    out.reserve(32 + (entries.size() + journal.size()) * 128);
+    JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray();
+    writeEntryEvents(w, entries, opt);
+    writeJournalTraceEvents(w, journal, jopt);
+    w.endArray().endObject();
     return out;
 }
 
@@ -85,10 +100,11 @@ exportCsv(const std::vector<DumpEntry> &entries, const ExportOptions &opt)
     const TracepointRegistry &reg = registryOf(opt);
     std::ostringstream out;
     out << "stamp,core,thread,category,category_name,size\n";
-    for (const DumpEntry &e : prepared(entries, opt)) {
+    for (const DumpEntry &e : sortedByStamp(entries)) {
         out << e.stamp << ',' << e.core << ',' << e.thread << ','
-            << e.category << ',' << reg.byId(e.category).name << ','
-            << e.size << '\n';
+            << e.category << ',';
+        writeCsvField(out, reg.byId(e.category).name);
+        out << ',' << e.size << '\n';
     }
     return out.str();
 }

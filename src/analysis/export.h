@@ -19,21 +19,19 @@
 
 namespace btrace {
 
-/** Options shared by the exporters. */
+/** Options shared by the exporters (which all sort by stamp). */
 struct ExportOptions
 {
     /** Registry used to resolve category names; null = global(). */
     const TracepointRegistry *registry = nullptr;
-    /** Nanoseconds represented by one stamp step (synthetic clock). */
-    double nsPerStamp = 1000.0;
-    /** Sort entries by stamp before exporting. */
-    bool sortByStamp = true;
 };
 
 /**
  * Chrome trace-event JSON ("traceEvents" array of instant events,
- * phase "i"); stamps become microsecond timestamps, cores become
- * pids, threads become tids.
+ * phase "i"); cores become pids, threads become tids. Stamps become
+ * microsecond timestamps: a wall-clock stamp (at or above
+ * kWallClockStampFloorNs, CLOCK_REALTIME ns) converts exactly, and a
+ * logical stamp counts one microsecond.
  */
 std::string exportChromeJson(const std::vector<DumpEntry> &entries,
                              const ExportOptions &opt = {});
@@ -43,8 +41,9 @@ std::string exportChromeJson(const std::vector<DumpEntry> &entries,
  * with the tracer's lifecycle journal (obs/trace_export.h): block
  * tracks with open→close durations, skips/resizes/watchdog trips as
  * instants. One caveat: entry stamps and journal tscs are separate
- * clocks, each zero-rebased independently — alignment between the two
- * groups is approximate, ordering within each group is exact.
+ * clocks. Journal timestamps are rebased to the earliest record,
+ * entry timestamps are not, so the two groups do not line up; ordering
+ * within each group is exact.
  */
 std::string exportChromeJsonWithJournal(
     const std::vector<DumpEntry> &entries,
@@ -52,7 +51,11 @@ std::string exportChromeJsonWithJournal(
     const ExportOptions &opt = {},
     const TraceEventExportOptions &jopt = {});
 
-/** CSV with header: stamp,core,thread,category,category_name,size. */
+/**
+ * CSV with header: stamp,core,thread,category,category_name,size. A
+ * category name holding a comma, quote or line break is quoted per
+ * RFC 4180.
+ */
 std::string exportCsv(const std::vector<DumpEntry> &entries,
                       const ExportOptions &opt = {});
 

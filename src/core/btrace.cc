@@ -520,7 +520,6 @@ BTrace::abandonWrite(WriteTicket &ticket)
     writeDummy(ticket.dst, ticket.entrySize);
     ctrs.dummyBytes.fetch_add(ticket.entrySize,
                               std::memory_order_relaxed);
-    ticket.cost += costs.copy(8);
     confirm(ticket);
 }
 
@@ -562,11 +561,10 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
 }
 
 void
-BTrace::leaseClose(Lease &l)
+BTrace::leaseClose(const Lease &l)
 {
     const LeaseView v = viewOf(l);
     const uint32_t remainder = v.len - v.used;
-    double cost = 0.0;
     CostProfiler *const pf = activeProfiler();
     LeaseOwnerRecord *rec = nullptr;
     uint32_t filled = 0;  // remainder returned as a dummy entry
@@ -609,18 +607,16 @@ BTrace::leaseClose(Lease &l)
                     std::memory_order_relaxed);
                 ctrs.leaseEntries.fetch_add(v.served,
                                             std::memory_order_relaxed);
-                chargeLease(l, cost);
                 return;
             }
         }
 
-        if (remainder > 0 && !giveBackTail(v, cost)) {
+        if (remainder > 0 && !giveBackTail(v)) {
             // Not handed back (see giveBackTail): return the unused
             // span as one dummy entry so every leased byte is
             // confirmed exactly once (DESIGN.md §3).
             writeDummy(v.base + v.used, remainder);
             filled = remainder;
-            cost += costs.copy(8);
         }
     }
     const uint32_t publish = v.confirmedBytes + filled;
@@ -632,7 +628,6 @@ BTrace::leaseClose(Lease &l)
                 publish, std::memory_order_acq_rel);
         }
         ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-        cost += costs.atomicLocal;
     }
     if (rec != nullptr)
         rec->state.store(LeaseOwnerRecord::Free,
@@ -655,11 +650,10 @@ BTrace::leaseClose(Lease &l)
     else if (remainder > 0)
         journalEmit(JournalEventKind::LeaseRevoke, v.core,
                     v.handle.slot, remainder);
-    chargeLease(l, cost);
 }
 
 bool
-BTrace::giveBackTail(const LeaseView &v, double &cost)
+BTrace::giveBackTail(const LeaseView &v)
 {
     // A lease that served nothing gives its whole span up: handed
     // back, a renewal with the same hint would be granted the same
@@ -684,7 +678,6 @@ BTrace::giveBackTail(const LeaseView &v, double &cost)
             top, v.claimWord + v.used, std::memory_order_seq_cst,
             std::memory_order_relaxed))
         return false;
-    cost += costs.atomicLocal;
 
     // A claim that reached the block end made the block look exhausted
     // to every writer of the core, and one of them may have moved the
@@ -698,8 +691,9 @@ BTrace::giveBackTail(const LeaseView &v, double &cost)
                              v.handle.slot;
         const RatioPos now = RatioPos::unpack(
             coreLocal[v.core]->load(std::memory_order_seq_cst));
+        double unread = 0.0;  // close-side cost: replay never reads it
         if (now.pos != pos)
-            closeRound(v.handle.slot, claim.rnd, cost,
+            closeRound(v.handle.slot, claim.rnd, unread,
                        BlockCloseReason::Graveyard);
     }
     return true;

@@ -392,7 +392,7 @@ class BTrace : public Tracer
     std::size_t residentBytes() const { return span.residentBytes(); }
 
   protected:
-    void leaseClose(Lease &l) override;
+    void leaseClose(const Lease &l) override;
 
   private:
     friend class BTraceInspector;  //!< white-box test access
@@ -472,7 +472,7 @@ class BTrace : public Tracer
      * the lease. False when the tail must be dummy-filled instead
      * (DESIGN.md §7).
      */
-    bool giveBackTail(const LeaseView &v, double &cost);
+    bool giveBackTail(const LeaseView &v);
 
     /**
      * Close the block of round @p rnd on metadata @p meta_idx: claim

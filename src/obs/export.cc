@@ -1,51 +1,21 @@
 #include "obs/export.h"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 #include <set>
 
+#include "common/json_writer.h"
 #include "obs/json_reader.h"
 
 namespace btrace {
 
 namespace {
 
-/**
- * Format a metric value the way both wire formats want it: integral
- * values (the overwhelmingly common case — counters, bucket bounds)
- * without a fractional tail, everything else with enough digits to
- * round-trip a rate or ratio.
- */
+/** A metric value in the Prometheus text: JsonWriter's metric rule. */
 std::string
 formatValue(double v)
 {
-    char buf[40];
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else if (std::isnan(v)) {
-        std::snprintf(buf, sizeof(buf), "NaN");
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.10g", v);
-    }
-    return buf;
-}
-
-void
-appendKvs(std::string &out, const char *key,
-          const std::vector<std::pair<std::string, double>> &kvs)
-{
-    out += "\"";
-    out += key;
-    out += "\":{";
-    bool first = true;
-    for (const auto &kv : kvs) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"" + jsonEscape(kv.first) + "\":" + formatValue(kv.second);
-    }
-    out += "}";
+    std::string out;
+    JsonWriter(out).metric(v);
+    return out;
 }
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
@@ -113,84 +83,46 @@ copyNumberMap(const JsonValue *v, std::map<std::string, double> &out)
 } // namespace
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 renderJsonLine(const ObsSample &sample)
 {
     std::string out;
     out.reserve(1024);
-    char head[96];
-    std::snprintf(head, sizeof(head), "{\"seq\":%" PRIu64 ",\"t_sec\":%.6f,",
-                  sample.seq, sample.tSec);
-    out += head;
+    JsonWriter w(out);
+    w.beginObject().field("seq", sample.seq);
+    w.key("t_sec").fixed(sample.tSec, 6);
 
-    out += "\"labels\":{";
-    bool first = true;
-    for (const auto &kv : sample.labels) {
-        if (!first) out += ",";
-        first = false;
-        out += "\"" + jsonEscape(kv.first) + "\":\"" +
-               jsonEscape(kv.second) + "\"";
-    }
-    out += "},";
+    w.key("labels").beginObject();
+    for (const auto &kv : sample.labels)
+        w.field(kv.first, kv.second);
+    w.endObject();
 
-    appendKvs(out, "counters", sample.counters);
-    out += ",";
-    appendKvs(out, "rates", sample.rates);
-    out += ",";
-    appendKvs(out, "gauges", sample.gauges);
-    out += ",";
+    const auto metrics =
+        [&w](const char *name,
+             const std::vector<std::pair<std::string, double>> &kvs) {
+            w.key(name).beginObject();
+            for (const auto &kv : kvs)
+                w.key(kv.first).metric(kv.second);
+            w.endObject();
+        };
+    metrics("counters", sample.counters);
+    metrics("rates", sample.rates);
+    metrics("gauges", sample.gauges);
 
-    out += "\"histograms\":{";
-    first = true;
+    w.key("histograms").beginObject();
     for (const HistogramValue &h : sample.histograms) {
-        if (!first) out += ",";
-        first = false;
-        char buf[224];
-        std::snprintf(buf, sizeof(buf),
-                      "\"%s\":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                      ",\"p50\":%" PRIu64 ",\"p99\":%" PRIu64
-                      ",\"p999\":%" PRIu64 ",\"max\":%" PRIu64 "}",
-                      jsonEscape(h.name).c_str(), h.count, h.sum,
-                      h.p50, h.p99, h.p999, h.max);
-        out += buf;
+        w.key(h.name).beginObject();
+        w.field("count", h.count).field("sum", h.sum).field("p50", h.p50);
+        w.field("p99", h.p99).field("p999", h.p999).field("max", h.max);
+        w.endObject();
     }
-    out += "},";
+    w.endObject();
 
-    out += "\"health\":[";
-    first = true;
+    w.key("health").beginArray();
     for (const HealthEvent &e : sample.health) {
-        if (!first) out += ",";
-        first = false;
-        out += "{\"kind\":\"";
-        out += healthKindName(e.kind);
-        out += "\",\"detail\":\"" + jsonEscape(e.detail) + "\"}";
+        w.beginObject().field("kind", healthKindName(e.kind));
+        w.field("detail", e.detail).endObject();
     }
-    out += "]}";
+    w.endArray().endObject();
     return out;
 }
 

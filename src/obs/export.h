@@ -57,9 +57,6 @@ struct ObsSample
     std::vector<HealthEvent> health;
 };
 
-/** Escape a string for embedding in a JSON double-quoted literal. */
-std::string jsonEscape(const std::string &s);
-
 /** Render one ObsSample as a single JSON object (no newline). */
 std::string renderJsonLine(const ObsSample &sample);
 

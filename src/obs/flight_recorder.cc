@@ -7,90 +7,12 @@
 #include <cerrno>
 #include <utility>
 
-#include "obs/export.h"
+#include "common/json_writer.h"
 #include "obs/json_reader.h"
 
 namespace btrace {
 
 namespace {
-
-/**
- * Bounded JSON writer over a caller-owned buffer: the async-safe
- * capture path formats with this instead of std::string/iostreams, so
- * a watchdog trip under memory exhaustion still renders. Overflow
- * truncates silently; the recorder sizes its buffer so it never does.
- */
-class BufWriter
-{
-  public:
-    BufWriter(char *dst, std::size_t capacity) : d(dst), cap(capacity) {}
-
-    void
-    raw(const char *s) noexcept
-    {
-        while (*s != '\0')
-            put(*s++);
-    }
-
-    /** JSON string body: escapes quotes, backslashes, and controls. */
-    void
-    escaped(const char *s) noexcept
-    {
-        static const char hex[] = "0123456789abcdef";
-        for (; *s != '\0'; ++s) {
-            const auto c = static_cast<unsigned char>(*s);
-            if (c == '"' || c == '\\') {
-                put('\\');
-                put(static_cast<char>(c));
-            } else if (c < 0x20) {
-                raw("\\u00");
-                put(hex[c >> 4]);
-                put(hex[c & 0xf]);
-            } else {
-                put(static_cast<char>(c));
-            }
-        }
-    }
-
-    void
-    u64(uint64_t v) noexcept
-    {
-        char digits[20];
-        std::size_t n = 0;
-        do {
-            digits[n++] = static_cast<char>('0' + v % 10);
-            v /= 10;
-        } while (v != 0);
-        while (n > 0)
-            put(digits[--n]);
-    }
-
-    /** `"key":<v>` with an optional trailing comma. */
-    void
-    kvU64(const char *key, uint64_t v, bool comma = true) noexcept
-    {
-        put('"');
-        raw(key);
-        raw("\":");
-        u64(v);
-        if (comma)
-            put(',');
-    }
-
-    std::size_t size() const noexcept { return len; }
-
-  private:
-    void
-    put(char c) noexcept
-    {
-        if (len < cap)
-            d[len++] = c;
-    }
-
-    char *d;
-    std::size_t cap;
-    std::size_t len = 0;
-};
 
 /** §3.2 classification of one raw slot, mirroring occupancy(). */
 const char *
@@ -153,54 +75,47 @@ FlightRecorder::renderInto(char *dst, std::size_t cap,
         bt.slotStatesInto(slotScratch.data(), slotScratch.size());
     const std::size_t block_cap = bt.config().blockSize;
 
-    BufWriter w(dst, cap);
-    w.raw("{\"bundle\":\"btrace-flight-v1\",");
-    w.raw("\"trigger\":\"");
-    w.escaped(trigger);
-    w.raw("\",");
+    // Over the caller's buffer the writer never allocates.
+    JsonWriter w(dst, cap);
+    w.beginObject().field("bundle", "btrace-flight-v1");
+    w.field("trigger", trigger);
 
-    w.raw("\"counters\":{");
-    w.kvU64("fast_allocs", c.fastAllocs);
-    w.kvU64("boundary_fills", c.boundaryFills);
-    w.kvU64("stale_allocs", c.staleAllocs);
-    w.kvU64("advances", c.advances);
-    w.kvU64("skips", c.skips);
-    w.kvU64("closes", c.closes);
-    w.kvU64("lock_races", c.lockRaces);
-    w.kvU64("core_races", c.coreRaces);
-    w.kvU64("would_block", c.wouldBlock);
-    w.kvU64("dummy_bytes", c.dummyBytes);
-    w.kvU64("resizes", c.resizes);
-    w.kvU64("shared_rmws", c.sharedRmws);
-    w.kvU64("leases", c.leases);
-    w.kvU64("lease_entries", c.leaseEntries);
-    w.kvU64("leased_outstanding", c.leasedOutstanding, false);
-    w.raw("},");
+    w.key("counters").beginObject();
+    w.field("fast_allocs", c.fastAllocs);
+    w.field("boundary_fills", c.boundaryFills);
+    w.field("stale_allocs", c.staleAllocs);
+    w.field("advances", c.advances);
+    w.field("skips", c.skips);
+    w.field("closes", c.closes);
+    w.field("lock_races", c.lockRaces);
+    w.field("core_races", c.coreRaces);
+    w.field("would_block", c.wouldBlock);
+    w.field("dummy_bytes", c.dummyBytes);
+    w.field("resizes", c.resizes);
+    w.field("shared_rmws", c.sharedRmws);
+    w.field("leases", c.leases);
+    w.field("lease_entries", c.leaseEntries);
+    w.field("leased_outstanding", c.leasedOutstanding);
+    w.endObject();
 
-    w.raw("\"gauges\":{");
-    w.kvU64("head_position", bt.headPosition());
-    w.kvU64("capacity_bytes", bt.capacityBytes());
-    w.kvU64("resident_bytes", bt.residentBytes());
-    w.kvU64("blocks_complete", occ.complete);
-    w.kvU64("blocks_open", occ.open);
-    w.kvU64("blocks_incomplete", occ.incomplete, false);
-    w.raw("},");
+    w.key("gauges").beginObject();
+    w.field("head_position", bt.headPosition());
+    w.field("capacity_bytes", bt.capacityBytes());
+    w.field("resident_bytes", bt.residentBytes());
+    w.field("blocks_complete", occ.complete);
+    w.field("blocks_open", occ.open);
+    w.field("blocks_incomplete", occ.incomplete);
+    w.endObject();
 
-    w.raw("\"slots\":[");
+    w.key("slots").beginArray();
     for (std::size_t i = 0; i < nslots; ++i) {
         const MetaSlotState &s = slotScratch[i];
-        if (i != 0) w.raw(",");
-        w.raw("{");
-        w.kvU64("slot", i);
-        w.kvU64("alloc_rnd", s.allocRnd);
-        w.kvU64("alloc_pos", s.allocPos);
-        w.kvU64("conf_rnd", s.confRnd);
-        w.kvU64("conf_pos", s.confPos);
-        w.raw("\"state\":\"");
-        w.raw(slotStateName(s, block_cap));
-        w.raw("\"}");
+        w.beginObject().field("slot", i);
+        w.field("alloc_rnd", s.allocRnd).field("alloc_pos", s.allocPos);
+        w.field("conf_rnd", s.confRnd).field("conf_pos", s.confPos);
+        w.field("state", slotStateName(s, block_cap)).endObject();
     }
-    w.raw("],");
+    w.endArray();
 
     std::size_t ntail = jnl != nullptr
                             ? jnl->snapshotInto(jnlScratch.data(),
@@ -209,29 +124,19 @@ FlightRecorder::renderInto(char *dst, std::size_t cap,
     std::size_t first = 0;
     if (ntail > opt.lastN)
         first = ntail - opt.lastN;  // keep only the newest lastN
-    w.kvU64("journal_emitted", jnl != nullptr ? jnl->emitted() : 0);
-    w.raw("\"journal\":[");
+    w.field("journal_emitted", jnl != nullptr ? jnl->emitted() : 0);
+    w.key("journal").beginArray();
     for (std::size_t i = first; i < ntail; ++i) {
         const JournalRecord &r = jnlScratch[i];
-        if (i != first) w.raw(",");
-        w.raw("{\"kind\":\"");
-        w.raw(journalEventKindName(r.kind));
-        w.raw("\",");
-        if (r.kind == JournalEventKind::BlockClose) {
-            w.raw("\"reason\":\"");
-            w.raw(blockCloseReasonName(
-                static_cast<BlockCloseReason>(r.arg)));
-            w.raw("\",");
-        }
-        w.kvU64("tsc", r.tsc);
-        w.kvU64("seq", r.seq);
-        w.kvU64("tid", r.tid);
-        w.kvU64("core", r.core);
-        w.kvU64("block", r.block);
-        w.kvU64("arg", r.arg, false);
-        w.raw("}");
+        w.beginObject().field("kind", journalEventKindName(r.kind));
+        if (r.kind == JournalEventKind::BlockClose)
+            w.field("reason", blockCloseReasonName(
+                                  static_cast<BlockCloseReason>(r.arg)));
+        w.field("tsc", r.tsc).field("seq", r.seq).field("tid", r.tid);
+        w.field("core", r.core).field("block", r.block);
+        w.field("arg", r.arg).endObject();
     }
-    w.raw("]}");
+    w.endArray().endObject();
     return w.size();
 }
 

@@ -17,8 +17,9 @@
  * journal snapshotInto), so it works even while producers are live or
  * a resize is wedged mid-quiesce — exactly the states worth
  * post-morteming. The dump path additionally never allocates: every
- * capture buffer is sized at construction, the JSON is rendered by a
- * bounded buffer writer, and the file write uses POSIX open/write —
+ * capture buffer is sized at construction, the JSON is rendered by
+ * JsonWriter over that preallocated buffer (common/json_writer.h),
+ * and the file write uses POSIX open/write —
  * so a trip fired *because* the process is out of memory still
  * produces a bundle. On an arena-backed tracer (shm/file storage,
  * DESIGN.md §10) the bundle is also copied into the arena's flight

@@ -12,82 +12,47 @@ namespace {
 constexpr int kBlocksPid = 1;     //!< block-track process
 constexpr int kLifecyclePid = 2;  //!< lease/resize/consumer process
 
-struct EventWriter
+void
+processName(JsonWriter &w, int pid, const char *name)
 {
-    std::string out;
-    bool first = true;
+    w.beginObject().field("name", "process_name").field("ph", "M");
+    w.field("pid", pid).field("tid", 0);
+    w.key("args").beginObject().field("name", name).endObject();
+    w.endObject();
+}
 
-    void
-    beginEvent()
-    {
-        if (!first) out += ",";
-        first = false;
-    }
-
-    void
-    metadata(int pid, const char *processName)
-    {
-        beginEvent();
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                      "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                      pid, processName);
-        out += buf;
-    }
-
-    void
-    complete(const std::string &name, int pid, uint64_t tid, double ts,
-             double dur, const std::string &args)
-    {
-        beginEvent();
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "\"ph\":\"X\",\"cat\":\"btrace\",\"pid\":%d,"
-                      "\"tid\":%" PRIu64 ",\"ts\":%.3f,\"dur\":%.3f",
-                      pid, tid, ts, dur);
-        out += "{\"name\":\"" + name + "\"," + buf +
-               ",\"args\":{" + args + "}}";
-    }
-
-    void
-    instant(const std::string &name, int pid, uint64_t tid, double ts,
-            char scope, const std::string &args)
-    {
-        beginEvent();
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "\"ph\":\"i\",\"cat\":\"btrace\",\"pid\":%d,"
-                      "\"tid\":%" PRIu64 ",\"ts\":%.3f,\"s\":\"%c\"",
-                      pid, tid, ts, scope);
-        out += "{\"name\":\"" + name + "\"," + buf +
-               ",\"args\":{" + args + "}}";
-    }
-};
-
-std::string
-u64Args(const char *k1, uint64_t v1, const char *k2 = nullptr,
-        uint64_t v2 = 0)
+/**
+ * One event on a block or lifecycle track: an instant ("i") of
+ * @p scope, or without a scope a complete ("X") event lasting @p dur.
+ * @p args writes the members of its args object.
+ */
+template <typename Args>
+void
+event(JsonWriter &w, std::string_view name, int pid, uint64_t tid,
+      double ts, double dur, const char *scope, Args args)
 {
-    char buf[128];
-    if (k2 != nullptr) {
-        std::snprintf(buf, sizeof(buf),
-                      "\"%s\":%" PRIu64 ",\"%s\":%" PRIu64, k1, v1, k2,
-                      v2);
-    } else {
-        std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64, k1, v1);
-    }
-    return buf;
+    w.beginObject().field("name", name);
+    w.field("ph", scope != nullptr ? "i" : "X").field("cat", "btrace");
+    w.field("pid", pid).field("tid", tid);
+    w.key("ts").fixed(ts, 3);
+    if (scope != nullptr)
+        w.field("s", scope);
+    else
+        w.key("dur").fixed(dur, 3);
+    w.key("args").beginObject();
+    args();
+    w.endObject().endObject();
 }
 
 } // namespace
 
-std::string
-journalTraceEvents(const std::vector<JournalRecord> &records,
-                   const TraceEventExportOptions &opt)
+void
+writeJournalTraceEvents(JsonWriter &w,
+                        const std::vector<JournalRecord> &records,
+                        const TraceEventExportOptions &opt)
 {
     if (records.empty())
-        return "";
+        return;
 
     uint64_t t0 = records.front().tsc;
     uint64_t tMax = t0;
@@ -95,17 +60,25 @@ journalTraceEvents(const std::vector<JournalRecord> &records,
         t0 = std::min(t0, r.tsc);
         tMax = std::max(tMax, r.tsc);
     }
+    // The journal's tsc is steady-clock ns; Chrome's ts is in us.
     const auto toUs = [&](uint64_t tsc) {
-        return double(tsc - t0) * opt.nsPerTick / 1000.0;
+        return double(tsc - t0) / 1000.0;
     };
     const uint64_t tracks =
         opt.activeBlocks != 0 ? uint64_t(opt.activeBlocks) : 64;
     const auto trackOf = [&](uint64_t block) { return block % tracks; };
+    const auto complete = [&](const char *name, uint64_t block,
+                              double open_ts, double ts, auto args) {
+        event(w, name, kBlocksPid, trackOf(block), open_ts,
+              std::max(0.0, ts - open_ts), nullptr, args);
+    };
+    const auto instant = [&](const char *name, int pid, uint64_t tid,
+                             double ts, const char *scope, auto args) {
+        event(w, name, pid, tid, ts, 0.0, scope, args);
+    };
 
-    EventWriter w;
-    w.out.reserve(records.size() * 128);
-    w.metadata(kBlocksPid, "BTrace blocks");
-    w.metadata(kLifecyclePid, "BTrace lifecycle");
+    processName(w, kBlocksPid, "BTrace blocks");
+    processName(w, kLifecyclePid, "BTrace lifecycle");
 
     // BlockOpen is stashed until its close arrives; a block position
     // opens at most once (positions are monotonic), so a plain map is
@@ -119,40 +92,39 @@ journalTraceEvents(const std::vector<JournalRecord> &records,
             openAt[r.block] = r.tsc;
             break;
           case JournalEventKind::BlockClose: {
-            const auto reason = static_cast<BlockCloseReason>(r.arg);
+            const char *reason =
+                blockCloseReasonName(static_cast<BlockCloseReason>(r.arg));
             char name[64];
-            std::snprintf(name, sizeof(name),
-                          "block %" PRIu64 " (%s)", r.block,
-                          blockCloseReasonName(reason));
+            std::snprintf(name, sizeof(name), "block %" PRIu64 " (%s)",
+                          r.block, reason);
             const auto it = openAt.find(r.block);
             if (it != openAt.end()) {
-                const double open_ts = toUs(it->second);
-                w.complete(name, kBlocksPid, trackOf(r.block), open_ts,
-                           std::max(0.0, ts - open_ts),
-                           u64Args("block", r.block) + ",\"reason\":\"" +
-                               blockCloseReasonName(reason) + "\"");
+                complete(name, r.block, toUs(it->second), ts, [&] {
+                    w.field("block", r.block).field("reason", reason);
+                });
                 openAt.erase(it);
             } else {
                 // Close of a block whose open predates the journal
                 // window (ring overwrote it): still worth a mark.
-                w.instant(name, kBlocksPid, trackOf(r.block), ts, 't',
-                          u64Args("block", r.block));
+                instant(name, kBlocksPid, trackOf(r.block), ts, "t",
+                        [&] { w.field("block", r.block); });
             }
             break;
           }
           case JournalEventKind::BlockSkip:
-            w.instant("skip", kBlocksPid, trackOf(r.block), ts, 't',
-                      u64Args("block", r.block, "confirmed_pos", r.arg));
+            instant("skip", kBlocksPid, trackOf(r.block), ts, "t", [&] {
+                w.field("block", r.block).field("confirmed_pos", r.arg);
+            });
             break;
           case JournalEventKind::WatchdogTrip:
             // Global scope: a trip concerns the whole process view.
-            w.instant("watchdog_trip", kLifecyclePid, r.tid, ts, 'g',
-                      u64Args("health_kind", r.arg));
+            instant("watchdog_trip", kLifecyclePid, r.tid, ts, "g",
+                    [&] { w.field("health_kind", r.arg); });
             break;
           default:
-            w.instant(journalEventKindName(r.kind), kLifecyclePid,
-                      r.tid, ts, 't',
-                      u64Args("block", r.block, "arg", r.arg));
+            instant(journalEventKindName(r.kind), kLifecyclePid, r.tid,
+                    ts, "t",
+                    [&] { w.field("block", r.block).field("arg", r.arg); });
             break;
         }
     }
@@ -164,21 +136,23 @@ journalTraceEvents(const std::vector<JournalRecord> &records,
         char name[48];
         std::snprintf(name, sizeof(name), "block %" PRIu64 " (open)",
                       kv.first);
-        const double open_ts = toUs(kv.second);
-        w.complete(name, kBlocksPid, trackOf(kv.first), open_ts,
-                   std::max(0.0, toUs(tMax) - open_ts),
-                   u64Args("block", kv.first, "unclosed", 1));
+        complete(name, kv.first, toUs(kv.second), toUs(tMax), [&] {
+            w.field("block", kv.first).field("unclosed", 1);
+        });
     }
-
-    return w.out;
 }
 
 std::string
 exportJournalChromeJson(const std::vector<JournalRecord> &records,
                         const TraceEventExportOptions &opt)
 {
-    return "{\"traceEvents\":[" + journalTraceEvents(records, opt) +
-           "]}";
+    std::string out;
+    out.reserve(64 + records.size() * 128);
+    JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray();
+    writeJournalTraceEvents(w, records, opt);
+    w.endArray().endObject();
+    return out;
 }
 
 } // namespace btrace

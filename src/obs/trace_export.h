@@ -18,14 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "obs/journal.h"
 
 namespace btrace {
 
 struct TraceEventExportOptions
 {
-    /** Nanoseconds per journal tsc tick (1.0: tsc already in ns). */
-    double nsPerTick = 1.0;
     /**
      * Active-block count A. When nonzero, block events are folded
      * onto A tracks (track = position mod A, matching the metadata
@@ -35,12 +34,13 @@ struct TraceEventExportOptions
 };
 
 /**
- * Render the journal as a comma-joined list of trace-event objects,
- * without the enclosing array — composable with other event sources
- * (see analysis/export.h). Empty string when @p records is empty.
+ * Append the journal's trace events to the array open in @p w, after
+ * whatever events it already holds (see analysis/export.h); nothing
+ * when @p records is empty.
  */
-std::string journalTraceEvents(const std::vector<JournalRecord> &records,
-                               const TraceEventExportOptions &opt = {});
+void writeJournalTraceEvents(JsonWriter &w,
+                             const std::vector<JournalRecord> &records,
+                             const TraceEventExportOptions &opt = {});
 
 /** Render a complete `{"traceEvents":[...]}` document. */
 std::string

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json_writer.h"
+
 namespace btrace {
 
 namespace {
@@ -37,22 +39,6 @@ parseSegmentName(const char *name, uint64_t &index)
     }
     index = v;
     return true;
-}
-
-std::string
-fmtU64(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    return buf;
-}
-
-std::string
-fmtF(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
 }
 
 } // namespace
@@ -219,15 +205,18 @@ observationSeconds(const SegmentDirStats &st)
     return 0.0;
 }
 
-template <typename Map, typename Cmp>
+/** The @p topN rows of a category or producer table, most records first. */
+template <typename Map>
 std::vector<typename Map::const_iterator>
-topRows(const Map &m, std::size_t topN, Cmp cmp)
+topRows(const Map &m, std::size_t topN)
 {
     std::vector<typename Map::const_iterator> rows;
     rows.reserve(m.size());
     for (auto it = m.begin(); it != m.end(); ++it)
         rows.push_back(it);
-    std::sort(rows.begin(), rows.end(), cmp);
+    std::sort(rows.begin(), rows.end(), [](auto a, auto b) {
+        return a->second.records > b->second.records;
+    });
     if (topN != 0 && rows.size() > topN)
         rows.resize(topN);
     return rows;
@@ -290,10 +279,7 @@ SegmentAggregator::renderTable(std::size_t topN) const
             st.categories.size());
         add("  %8s %12s %14s %8s\n", "category", "records", "bytes",
             "share");
-        for (auto it : topRows(
-                 st.categories, topN, [](auto a, auto b) {
-                     return a->second.records > b->second.records;
-                 }))
+        for (auto it : topRows(st.categories, topN))
             add("  %8u %12" PRIu64 " %14" PRIu64 " %7.3f%%\n",
                 unsigned(it->first), it->second.records,
                 it->second.payloadBytes,
@@ -308,10 +294,7 @@ SegmentAggregator::renderTable(std::size_t topN) const
             st.producers.size());
         add("  %10s %12s %14s %12s\n", "producer", "records", "bytes",
             "records/s");
-        for (auto it : topRows(
-                 st.producers, topN, [](auto a, auto b) {
-                     return a->second.records > b->second.records;
-                 }))
+        for (auto it : topRows(st.producers, topN))
             add("  %10u %12" PRIu64 " %14" PRIu64 " %12.1f\n",
                 it->first, it->second.records,
                 it->second.payloadBytes,
@@ -342,114 +325,73 @@ SegmentAggregator::renderJson(std::size_t topN) const
 {
     std::string out;
     out.reserve(2048);
-    out += "{\"btrace_stats_version\":1,";
+    JsonWriter w(out);
+    w.beginObject().field("btrace_stats_version", 1);
 
-    out += "\"segments\":{";
-    out += "\"scanned\":" + fmtU64(st.segmentsScanned);
-    out += ",\"v1\":" + fmtU64(st.v1Segments);
-    out += ",\"v2\":" + fmtU64(st.v2Segments);
-    out += ",\"torn\":" + fmtU64(st.tornSegments);
-    out += ",\"dirty\":" + fmtU64(st.dirtySegments);
-    out += ",\"unreadable\":" + fmtU64(st.unreadableSegments);
-    out += ",\"rotation_gaps\":" + fmtU64(st.rotationGaps);
-    out += ",\"missing_indices\":" + fmtU64(st.missingIndices);
-    out += "},";
+    w.key("segments").beginObject();
+    w.field("scanned", st.segmentsScanned).field("v1", st.v1Segments);
+    w.field("v2", st.v2Segments).field("torn", st.tornSegments);
+    w.field("dirty", st.dirtySegments);
+    w.field("unreadable", st.unreadableSegments);
+    w.field("rotation_gaps", st.rotationGaps);
+    w.field("missing_indices", st.missingIndices).endObject();
 
-    out += "\"totals\":{";
-    out += "\"records\":" + fmtU64(st.records);
-    out += ",\"payload_bytes\":" + fmtU64(st.payloadBytes);
-    out += ",\"wall_stamped_records\":" + fmtU64(st.wallStampedRecords);
-    out += ",\"min_stamp\":" + fmtU64(st.records ? st.minStamp : 0);
-    out += ",\"max_stamp\":" + fmtU64(st.maxStamp);
-    out += ",\"first_drain_unix_ns\":" + fmtU64(st.firstDrainUnixNs);
-    out += ",\"last_drain_unix_ns\":" + fmtU64(st.lastDrainUnixNs);
-    out += "},";
+    w.key("totals").beginObject();
+    w.field("records", st.records).field("payload_bytes", st.payloadBytes);
+    w.field("wall_stamped_records", st.wallStampedRecords);
+    w.field("min_stamp", st.records ? st.minStamp : 0);
+    w.field("max_stamp", st.maxStamp);
+    w.field("first_drain_unix_ns", st.firstDrainUnixNs);
+    w.field("last_drain_unix_ns", st.lastDrainUnixNs).endObject();
 
     const uint64_t lost = st.overwrittenPositions + st.skippedBlocks;
     const double denom = double(st.records) + double(lost);
-    out += "\"retention\":{";
-    out += "\"declared_records\":" + fmtU64(st.declaredRecords);
-    out += ",\"declared_payload_bytes\":" +
-           fmtU64(st.declaredPayloadBytes);
-    out += ",\"overwritten_positions\":" +
-           fmtU64(st.overwrittenPositions);
-    out += ",\"skipped_blocks\":" + fmtU64(st.skippedBlocks);
-    out += ",\"abandoned_blocks\":" + fmtU64(st.abandonedBlocks);
-    out += ",\"torn_tail_bytes\":" + fmtU64(st.tornTailBytes);
-    out += ",\"header_scan_mismatch\":";
-    out += st.headerScanMismatch() ? "true" : "false";
-    out += ",\"retained_ratio\":" +
-           fmtF(denom > 0.0 ? double(st.records) / denom : 1.0);
-    out += "},";
+    w.key("retention").beginObject();
+    w.field("declared_records", st.declaredRecords);
+    w.field("declared_payload_bytes", st.declaredPayloadBytes);
+    w.field("overwritten_positions", st.overwrittenPositions);
+    w.field("skipped_blocks", st.skippedBlocks);
+    w.field("abandoned_blocks", st.abandonedBlocks);
+    w.field("torn_tail_bytes", st.tornTailBytes);
+    w.field("header_scan_mismatch", st.headerScanMismatch());
+    const double retained = denom > 0.0 ? double(st.records) / denom : 1.0;
+    w.key("retained_ratio").sig(retained, 6).endObject();
 
     const double window = observationSeconds(st);
-    out += "\"window_sec\":" + fmtF(window) + ",";
+    w.key("window_sec").sig(window, 6);
 
-    out += "\"categories\":[";
-    {
-        bool first = true;
-        for (auto it : topRows(
-                 st.categories, topN, [](auto a, auto b) {
-                     return a->second.records > b->second.records;
-                 })) {
-            if (!first) out += ",";
-            first = false;
-            out += "{\"category\":" + fmtU64(it->first);
-            out += ",\"records\":" + fmtU64(it->second.records);
-            out += ",\"payload_bytes\":" +
-                   fmtU64(it->second.payloadBytes);
-            out += ",\"share\":" +
-                   fmtF(st.records != 0
-                            ? double(it->second.records) /
-                                  double(st.records)
-                            : 0.0);
-            out += "}";
-        }
+    w.key("categories").beginArray();
+    for (auto it : topRows(st.categories, topN)) {
+        w.beginObject().field("category", it->first);
+        w.field("records", it->second.records);
+        w.field("payload_bytes", it->second.payloadBytes);
+        const double share = st.records != 0 ? double(it->second.records) /
+                                                   double(st.records)
+                                             : 0.0;
+        w.key("share").sig(share, 6).endObject();
     }
-    out += "],\"categories_truncated\":";
-    out += (topN != 0 && st.categories.size() > topN) ? "true"
-                                                      : "false";
-    out += ",";
+    w.endArray().field("categories_truncated",
+                       topN != 0 && st.categories.size() > topN);
 
-    out += "\"producers\":[";
-    {
-        bool first = true;
-        for (auto it : topRows(
-                 st.producers, topN, [](auto a, auto b) {
-                     return a->second.records > b->second.records;
-                 })) {
-            if (!first) out += ",";
-            first = false;
-            out += "{\"producer\":" + fmtU64(it->first);
-            out += ",\"records\":" + fmtU64(it->second.records);
-            out += ",\"payload_bytes\":" +
-                   fmtU64(it->second.payloadBytes);
-            out += ",\"rate_per_sec\":" +
-                   fmtF(window > 0.0
-                            ? double(it->second.records) / window
-                            : 0.0);
-            out += "}";
-        }
+    w.key("producers").beginArray();
+    for (auto it : topRows(st.producers, topN)) {
+        w.beginObject().field("producer", it->first);
+        w.field("records", it->second.records);
+        w.field("payload_bytes", it->second.payloadBytes);
+        const double rate =
+            window > 0.0 ? double(it->second.records) / window : 0.0;
+        w.key("rate_per_sec").sig(rate, 6).endObject();
     }
-    out += "],\"producers_truncated\":";
-    out += (topN != 0 && st.producers.size() > topN) ? "true"
-                                                     : "false";
-    out += ",";
+    w.endArray().field("producers_truncated",
+                       topN != 0 && st.producers.size() > topN);
 
-    out += "\"buckets\":[";
-    {
-        bool first = true;
-        for (const auto &kv : st.buckets) {
-            if (!first) out += ",";
-            first = false;
-            out += "{\"start_ns\":" + fmtU64(kv.first);
-            out += ",\"records\":" + fmtU64(kv.second.records);
-            out += ",\"payload_bytes\":" +
-                   fmtU64(kv.second.payloadBytes);
-            out += "}";
-        }
+    w.key("buckets").beginArray();
+    for (const auto &kv : st.buckets) {
+        w.beginObject().field("start_ns", kv.first);
+        w.field("records", kv.second.records);
+        w.field("payload_bytes", kv.second.payloadBytes).endObject();
     }
-    out += "]}";
+    w.endArray().endObject();
     return out;
 }
 

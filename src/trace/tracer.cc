@@ -21,7 +21,6 @@ Tracer::abandonWrite(WriteTicket &ticket)
     BTRACE_DASSERT(ticket.status == AllocStatus::Ok,
                    "abandon without Ok");
     writeDummy(ticket.dst, ticket.entrySize);
-    ticket.cost += costs.copy(8);
     confirm(ticket);
 }
 
@@ -44,28 +43,20 @@ Tracer::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
 
 bool
 Tracer::record(uint16_t core, uint32_t thread, uint64_t stamp,
-               uint32_t payload_len, uint16_t category, double *cost_out)
+               uint32_t payload_len, uint16_t category)
 {
     // Control-plane sampling gate. A sampled-out event is shed
     // *deliberately* — the caller is told true (not a drop), and loss
     // accounting is untouched: sampling is policy, dropping is
     // failure.
-    if (!shouldRecord(category, thread, stamp)) {
-        if (cost_out)
-            *cost_out = 0.0;
+    if (!shouldRecord(category, thread, stamp))
         return true;
-    }
     ScopedWrite w(*this, core, thread, payload_len,
                   ScopedWrite::Blocking);
-    if (!w.ok()) {
-        if (cost_out)
-            *cost_out = w.cost();
+    if (!w.ok())
         return false;  // Drop: shed by design
-    }
     w.fill(stamp, category);
     w.commit();
-    if (cost_out)
-        *cost_out = w.cost();
     return true;
 }
 
@@ -74,17 +65,11 @@ ScopedWrite::ScopedWrite(Tracer &t, uint16_t core, uint32_t thread,
     : tracer(&t), payloadLen(payload_len),
       exceptionsOnEntry(std::uncaught_exceptions())
 {
-    // Each failed acquire costs the caller a spin-and-backoff before
-    // the next attempt; charging it here keeps latency distributions
-    // honest about contention instead of resetting per attempt.
-    double accrued = 0.0;
     for (;;) {
         ticket = t.allocate(core, thread, payload_len);
-        ticket.cost += accrued;
         if (ticket.status != AllocStatus::Retry ||
             policy == NonBlocking)
             return;
-        accrued = ticket.cost + t.model().retryBackoff;
         // Retry-phase probe: the backoff yield between failed
         // acquires. The allocate() above carries its own claim/retry
         // probes, so only the wait itself is attributed here.
@@ -116,8 +101,6 @@ ScopedWrite::fill(uint64_t stamp, uint16_t category)
     BTRACE_DASSERT(ok(), "fill without Ok");
     writeNormal(ticket.dst, stamp, ticket.core, ticket.thread, category,
                 payloadLen);
-    const CostModel &m = lease ? lease->model() : tracer->model();
-    ticket.cost += m.copy(ticket.entrySize);
 }
 
 void

@@ -226,11 +226,12 @@ class Lease
     uint32_t remainingBytes() const { return len - used; }
     /** Entries served so far. */
     uint32_t entries() const { return served; }
-    /** ns charged for open/serve/close so far. */
+    /**
+     * Modeled ns of the grant (the claim that produced the lease, or
+     * the failed one that denied it). Entries carry their own cost in
+     * their tickets; nothing after the grant is charged here.
+     */
     double cost() const { return costNs; }
-
-    /** Cost model of the granting tracer (lease must be open). */
-    const CostModel &model() const;
 
     /**
      * Serve one entry of @p payload_len payload bytes from the lease.
@@ -360,14 +361,11 @@ class Tracer
     virtual Dump dump() = 0;
 
     /**
-     * Convenience blocking write: allocate (spinning on Retry, with
-     * each spin charged at CostModel::retryBackoff), fill, confirm.
-     * Returns false iff the event was dropped by design. Total
-     * charged cost is returned through @p cost_out if non-null.
+     * Convenience blocking write: allocate (spinning on Retry), fill,
+     * confirm. Returns false iff the event was dropped by design.
      */
     bool record(uint16_t core, uint32_t thread, uint64_t stamp,
-                uint32_t payload_len, uint16_t category = 0,
-                double *cost_out = nullptr);
+                uint32_t payload_len, uint16_t category = 0);
 
     const CostModel &model() const { return costs; }
 
@@ -443,7 +441,7 @@ class Tracer
      * the lease's bytes. Only tracers that grant batched leases (base
      * != nullptr) need to override.
      */
-    virtual void leaseClose(Lease &l) { (void)l; }
+    virtual void leaseClose(const Lease &l) { (void)l; }
 
     /**
      * Build a granted batched lease (implementation helper).
@@ -504,13 +502,6 @@ class Tracer
                 l.claimWord,  l.claimLen};
     }
 
-    /** Add @p ns to a lease's accumulated cost (from leaseClose). */
-    static void
-    chargeLease(Lease &l, double ns)
-    {
-        l.costNs += ns;
-    }
-
     const CostModel costs;
 
   private:
@@ -523,13 +514,6 @@ class Tracer
     /** Armed cost profiler; nullptr = probes disarmed (the default). */
     std::atomic<CostProfiler *> profiler{nullptr};
 };
-
-inline const CostModel &
-Lease::model() const
-{
-    BTRACE_DASSERT(owner != nullptr, "model() on a closed lease");
-    return owner->costs;
-}
 
 inline WriteTicket
 Lease::allocate(uint32_t payload_len)
@@ -553,7 +537,6 @@ Lease::allocate(uint32_t payload_len)
         if (ticket.status == AllocStatus::Ok) {
             --budget;
             ++served;
-            costNs += ticket.cost;
         }
         return ticket;
     }
@@ -576,7 +559,6 @@ Lease::allocate(uint32_t payload_len)
     ticket.cost = owner->costs.tscRead + owner->costs.leaseBump;
     used += need;
     ++served;
-    costNs += ticket.cost;
     return ticket;
 }
 
@@ -587,7 +569,6 @@ Lease::confirm(WriteTicket &ticket)
                    "lease confirm without Ok");
     if (!ticket.leased) {
         owner->confirm(ticket);
-        costNs += ticket.cost;
         return;
     }
     confirmedBytes += ticket.entrySize;  // published in bulk at close()
@@ -600,7 +581,6 @@ Lease::abandon(WriteTicket &ticket)
                    "lease abandon without Ok");
     if (!ticket.leased) {
         owner->abandonWrite(ticket);
-        costNs += ticket.cost;
         return;
     }
     writeDummy(ticket.dst, ticket.entrySize);
@@ -626,9 +606,8 @@ Lease::close()
  * exception — the granted bytes are accounted either way, so a block
  * is never left incomplete by an early exit.
  *
- * Construct from a Tracer (optionally Blocking: spin on Retry with
- * each spin charged at CostModel::retryBackoff) or from an open
- * Lease (served by the lease's bump path when batched).
+ * Construct from a Tracer (optionally Blocking: spin on Retry) or
+ * from an open Lease (served by the lease's bump path when batched).
  */
 class ScopedWrite
 {
@@ -636,7 +615,7 @@ class ScopedWrite
     enum Policy
     {
         NonBlocking,  //!< surface Retry to the caller
-        Blocking,     //!< spin on Retry (charged per spin)
+        Blocking,     //!< spin on Retry
     };
 
     ScopedWrite(Tracer &t, uint16_t core, uint32_t thread,
@@ -653,9 +632,8 @@ class ScopedWrite
     bool ok() const { return ticket.status == AllocStatus::Ok; }
     uint8_t *data() const { return ticket.dst; }
     uint32_t size() const { return ticket.entrySize; }
-    double cost() const { return ticket.cost; }
 
-    /** Write a normal entry into the granted space (charges copy). */
+    /** Write a normal entry into the granted space. */
     void fill(uint64_t stamp, uint16_t category = 0);
 
     /** Confirm now instead of at scope exit. Idempotent. */

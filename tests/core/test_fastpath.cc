@@ -181,9 +181,7 @@ TEST(FastPath, CostIncludesTimestampAndAtomics)
 TEST(FastPath, RecordHelperRoundTrips)
 {
     BTrace bt(smallConfig());
-    double cost = 0.0;
-    EXPECT_TRUE(bt.record(2, 5, 99, 32, 7, &cost));
-    EXPECT_GT(cost, 0.0);
+    EXPECT_TRUE(bt.record(2, 5, 99, 32, 7));
     const Dump d = bt.dump();
     ASSERT_EQ(d.entries.size(), 1u);
     EXPECT_EQ(d.entries[0].stamp, 99u);
