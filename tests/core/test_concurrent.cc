@@ -235,5 +235,56 @@ TEST(Concurrent, CountersAreConsistentAfterStress)
     EXPECT_TRUE(rep.ok()) << rep.summary();
 }
 
+TEST(Counters, ShardsSumExactlyUnderConcurrentWriters)
+{
+    // Every writer bumps counters while the others do: after the join
+    // the snapshot must add up exactly, whatever word each bump hit.
+    const unsigned cores = 4;
+    const uint64_t k = 4000;
+    BTrace bt(stressConfig(cores));
+    std::atomic<uint64_t> stamp{0};
+    std::atomic<uint64_t> grants{0};
+    std::vector<std::thread> workers;
+    for (unsigned c = 0; c < cores; ++c) {
+        workers.emplace_back([&, c]() {
+            const auto core = static_cast<uint16_t>(c);
+            for (uint64_t i = 0; i < k; ++i) {
+                const uint64_t s =
+                    stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+                ASSERT_TRUE(bt.record(core, c, s, 48));
+            }
+            uint64_t written = 0;
+            while (written < k) {
+                Lease l = bt.lease(core, c, 32, 8);
+                if (!l.ok()) {
+                    std::this_thread::yield();
+                    continue;
+                }
+                grants.fetch_add(1, std::memory_order_relaxed);
+                for (; written < k; ++written) {
+                    WriteTicket t = l.allocate(32);
+                    if (!t.ok())
+                        break;
+                    const uint64_t s =
+                        stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+                    writeNormal(t.dst, s, core, c, 0, 32);
+                    l.confirm(t);
+                }
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    const BTraceCounters::Snapshot ctrs = bt.countersSnapshot();
+    EXPECT_EQ(ctrs.fastAllocs, cores * k);
+    EXPECT_EQ(ctrs.leaseEntries, cores * k);
+    EXPECT_EQ(ctrs.leases, grants.load());
+    EXPECT_EQ(ctrs.leasedOutstanding, 0u);
+
+    const AuditReport rep = BTraceAuditor(bt).audit();
+    EXPECT_TRUE(rep.ok()) << rep.summary();
+}
+
 } // namespace
 } // namespace btrace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/prng.h"
 #include "core/btrace.h"
 #include "inspector.h"
 
@@ -189,6 +192,69 @@ TEST(FastPath, RecordHelperRoundTrips)
     EXPECT_EQ(d.entries[0].thread, 5u);
     EXPECT_EQ(d.entries[0].category, 7u);
     EXPECT_TRUE(d.entries[0].payloadOk);
+}
+
+void
+expectSameCounters(const BTraceCounters::Snapshot &a,
+                   const BTraceCounters::Snapshot &b)
+{
+    EXPECT_EQ(a.fastAllocs, b.fastAllocs);
+    EXPECT_EQ(a.boundaryFills, b.boundaryFills);
+    EXPECT_EQ(a.staleAllocs, b.staleAllocs);
+    EXPECT_EQ(a.advances, b.advances);
+    EXPECT_EQ(a.skips, b.skips);
+    EXPECT_EQ(a.closes, b.closes);
+    EXPECT_EQ(a.lockRaces, b.lockRaces);
+    EXPECT_EQ(a.coreRaces, b.coreRaces);
+    EXPECT_EQ(a.wouldBlock, b.wouldBlock);
+    EXPECT_EQ(a.dummyBytes, b.dummyBytes);
+    EXPECT_EQ(a.resizes, b.resizes);
+    EXPECT_EQ(a.sharedRmws, b.sharedRmws);
+    EXPECT_EQ(a.leases, b.leases);
+    EXPECT_EQ(a.leaseEntries, b.leaseEntries);
+    EXPECT_EQ(a.leasedOutstanding, b.leasedOutstanding);
+}
+
+TEST(RecordPath, DirectWriteMatchesTwoPhaseWrite)
+{
+    // record() must be exactly allocate + writeNormal + confirm: the
+    // same bytes in every block and the same counters, across block
+    // boundaries (tail fills), advances and wrap-around closes.
+    const BTraceConfig cfg = smallConfig(1024, 32, 8, 4);
+    BTrace direct(cfg);
+    BTrace twoPhase(cfg);
+
+    Prng rng(20);
+    uint64_t bytes = 0;
+    for (uint64_t stamp = 1; stamp <= 600; ++stamp) {
+        const auto core = static_cast<uint16_t>(rng.nextBounded(4));
+        const auto thread = static_cast<uint32_t>(10 + core);
+        const auto payload = static_cast<uint32_t>(rng.nextBounded(521));
+        const auto category = static_cast<uint16_t>(rng.nextBounded(16));
+        bytes += EntryLayout::normalSize(payload);
+
+        ASSERT_TRUE(direct.record(core, thread, stamp, payload, category));
+
+        WriteTicket t = twoPhase.allocate(core, thread, payload);
+        ASSERT_EQ(t.status, AllocStatus::Ok);
+        writeNormal(t.dst, stamp, core, thread, category, payload);
+        twoPhase.confirm(t);
+    }
+    // The sequence laps the 32 KiB ring several times over.
+    ASSERT_GT(bytes, 4 * cfg.numBlocks * cfg.blockSize);
+
+    const BTraceInspector a(direct);
+    const BTraceInspector b(twoPhase);
+    for (uint64_t phys = 0; phys < cfg.numBlocks; ++phys)
+        EXPECT_EQ(std::memcmp(a.blockData(phys), b.blockData(phys),
+                              cfg.blockSize),
+                  0)
+            << "block " << phys;
+    const BTraceCounters::Snapshot ca = direct.countersSnapshot();
+    expectSameCounters(ca, twoPhase.countersSnapshot());
+    EXPECT_EQ(ca.fastAllocs, 600u);
+    EXPECT_GT(ca.advances, 4 * cfg.numBlocks);
+    EXPECT_GT(ca.boundaryFills, 0u);
 }
 
 TEST(FastPath, ManyWritesNeverLoseConfirmedData)

@@ -22,6 +22,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <set>
+#include <vector>
 
 #include "common/test_hooks.h"
 #include "core/auditor.h"
@@ -391,6 +393,40 @@ TEST(MultiProcess, BackToBackLeasesReuseOneOwnerRecord)
     EXPECT_EQ(stampedOwnerRecords(o.tracer()), 2u);
     a.close();
     b.close();
+    expectAuditClean(o.tracer(), shmConfig().activeBlocks);
+}
+
+TEST(MultiProcess, LeaseSeqUniqueAcrossCores)
+{
+    auto owner = Session::create(shmConfig());
+    ASSERT_TRUE(owner.ok()) << owner.status().toString();
+    Session o = owner.take();
+    const BTraceInspector insp(o.tracer());
+
+    // Leases open at once on every core stamp one record each; a
+    // sweeper tells them apart by (attachGen, leaseSeq).
+    std::vector<Lease> open;
+    for (uint16_t core = 0; core < 4; ++core) {
+        open.push_back(o->lease(core, 1, 16, 2));
+        ASSERT_TRUE(open.back().ok());
+    }
+    std::set<uint64_t> seqs;
+    std::size_t active = 0;
+    for (std::size_t i = 0; i < kLeaseOwnerSlots; ++i) {
+        const LeaseOwnerRecord &r = insp.ownerRecord(i);
+        if (r.state.load(std::memory_order_acquire) !=
+            LeaseOwnerRecord::Active)
+            continue;
+        ++active;
+        EXPECT_EQ(r.attachGen.load(std::memory_order_relaxed),
+                  o->attachGeneration());
+        const uint64_t seq = r.leaseSeq.load(std::memory_order_relaxed);
+        EXPECT_NE(seq, 0u);
+        seqs.insert(seq);
+    }
+    EXPECT_EQ(active, 4u);
+    EXPECT_EQ(seqs.size(), 4u);
+    open.clear();
     expectAuditClean(o.tracer(), shmConfig().activeBlocks);
 }
 
