@@ -97,7 +97,10 @@ struct alignas(cacheLineSize) LeaseOwnerRecord
     std::atomic<uint32_t> state{Free};
     std::atomic<uint32_t> pid{0};
     std::atomic<uint64_t> attachGen{0};
-    /** The owning attachment's lease count; unique with attachGen. */
+    /**
+     * Nonzero, unique with attachGen: count × cores + core + 1, from
+     * the lease core's own lease count in the owning attachment.
+     */
     std::atomic<uint64_t> leaseSeq{0};
     /** Metadata slot index and round the lease's span belongs to. */
     std::atomic<uint32_t> slot{0};

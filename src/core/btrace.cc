@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include <unistd.h>
 
@@ -32,27 +33,29 @@ checkedRound(uint64_t pos, std::size_t num_active)
 } // namespace
 
 BTraceCounters::Snapshot
-BTraceCounters::snapshot() const
+BTraceCounters::sum(const BTraceCounters *shards, std::size_t n)
 {
     Snapshot s;
     const auto ld = [](const std::atomic<uint64_t> &a) {
         return a.load(std::memory_order_relaxed);
     };
-    s.fastAllocs = ld(fastAllocs);
-    s.boundaryFills = ld(boundaryFills);
-    s.staleAllocs = ld(staleAllocs);
-    s.advances = ld(advances);
-    s.skips = ld(skips);
-    s.closes = ld(closes);
-    s.lockRaces = ld(lockRaces);
-    s.coreRaces = ld(coreRaces);
-    s.wouldBlock = ld(wouldBlock);
-    s.dummyBytes = ld(dummyBytes);
-    s.resizes = ld(resizes);
-    s.sharedRmws = ld(sharedRmws);
-    s.leases = ld(leases);
-    s.leaseEntries = ld(leaseEntries);
-    s.leasedOutstanding = ld(leasedOutstanding);
+    for (const BTraceCounters *c = shards; c != shards + n; ++c) {
+        s.fastAllocs += ld(c->fastAllocs);
+        s.boundaryFills += ld(c->boundaryFills);
+        s.staleAllocs += ld(c->staleAllocs);
+        s.advances += ld(c->advances);
+        s.skips += ld(c->skips);
+        s.closes += ld(c->closes);
+        s.lockRaces += ld(c->lockRaces);
+        s.coreRaces += ld(c->coreRaces);
+        s.wouldBlock += ld(c->wouldBlock);
+        s.dummyBytes += ld(c->dummyBytes);
+        s.resizes += ld(c->resizes);
+        s.sharedRmws += ld(c->sharedRmws);
+        s.leases += ld(c->leases);
+        s.leaseEntries += ld(c->leaseEntries);
+        s.leasedOutstanding += ld(c->leasedOutstanding);
+    }
     return s;
 }
 
@@ -131,6 +134,7 @@ BTrace::BTrace(const BTraceConfig &config, const CostModel &model)
     }
 
     pid_ = static_cast<uint32_t>(::getpid());
+    ctrs = std::make_unique<BTraceCounters[]>(cfg.cores + 1);
     bindControl();
 
     // Make a dead arena self-describing: record the geometry an
@@ -346,6 +350,7 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
 
     // One arming load for every probe in this call (DESIGN.md §14).
     CostProfiler *const pf = activeProfiler();
+    BTraceCounters &sc = shard(core);
 
     // Bounded safety valve: with every metadata block held by a
     // preempted writer the advancement loop cannot make progress;
@@ -385,7 +390,7 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
                 m.allocated.fetch_add(want, std::memory_order_acq_rel);
         }
         const RndPos old = RndPos::unpack(claimed);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicLocal;
 
         if (old.rnd == exp_rnd) {
@@ -418,9 +423,9 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
                 // be skipped, never re-locked, until the confirm.
                 BTRACE_TEST_YIELD(AllocPreBoundaryConfirm);
                 m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-                ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-                ctrs.boundaryFills.fetch_add(1, std::memory_order_relaxed);
-                ctrs.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
+                sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+                sc.boundaryFills.fetch_add(1, std::memory_order_relaxed);
+                sc.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
                 cost += costs.atomicLocal + costs.copy(8);
                 journalEmit(JournalEventKind::BlockClose, core,
                             local.pos,
@@ -444,7 +449,7 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
         // old.pos+want) of the *new* round's block; fill the
         // in-capacity part with a dummy and confirm so that block
         // still completes.
-        ctrs.staleAllocs.fetch_add(1, std::memory_order_relaxed);
+        sc.staleAllocs.fetch_add(1, std::memory_order_relaxed);
         if (old.pos < cap) {
             const auto fill = static_cast<uint32_t>(
                 std::min<uint64_t>(want, cap - old.pos));
@@ -456,8 +461,8 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
             // complete until this confirm lands.
             BTRACE_TEST_YIELD(AllocPreStaleConfirm);
             m.confirmed.fetch_add(fill, std::memory_order_acq_rel);
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            ctrs.dummyBytes.fetch_add(fill, std::memory_order_relaxed);
+            sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+            sc.dummyBytes.fetch_add(fill, std::memory_order_relaxed);
             cost += costs.atomicLocal + costs.copy(8);
         }
 
@@ -471,7 +476,7 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
             break;
     }
 
-    ctrs.wouldBlock.fetch_add(1, std::memory_order_relaxed);
+    sc.wouldBlock.fetch_add(1, std::memory_order_relaxed);
     return Claim{};
 }
 
@@ -493,7 +498,7 @@ BTrace::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
     ticket.entrySize = need;
     ticket.handle.slot = c.slot;
     ticket.status = AllocStatus::Ok;
-    ctrs.fastAllocs.fetch_add(1, std::memory_order_relaxed);
+    shard(core).fastAllocs.fetch_add(1, std::memory_order_relaxed);
     return ticket;
 }
 
@@ -502,14 +507,7 @@ BTrace::confirm(WriteTicket &ticket)
 {
     BTRACE_DASSERT(ticket.status == AllocStatus::Ok, "confirm without Ok");
     BTRACE_DASSERT(!ticket.leased, "leased tickets confirm via the lease");
-    MetadataBlock &m = meta[ticket.handle.slot];
-    {
-        // Publish-phase probe: the confirm FAA (DESIGN.md §14).
-        PhaseProbe probe(activeProfiler(), ProfilePhase::Publish);
-        m.confirmed.fetch_add(ticket.entrySize,
-                              std::memory_order_acq_rel);
-    }
-    ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+    publish(ticket.core, ticket.handle.slot, ticket.entrySize);
     ticket.cost += costs.atomicLocal;
 }
 
@@ -518,9 +516,36 @@ BTrace::abandonWrite(WriteTicket &ticket)
 {
     BTRACE_DASSERT(ticket.status == AllocStatus::Ok, "abandon without Ok");
     writeDummy(ticket.dst, ticket.entrySize);
-    ctrs.dummyBytes.fetch_add(ticket.entrySize,
-                              std::memory_order_relaxed);
+    shard(ticket.core).dummyBytes.fetch_add(ticket.entrySize,
+                                            std::memory_order_relaxed);
     confirm(ticket);
+}
+
+bool
+BTrace::record(uint16_t core, uint32_t thread, uint64_t stamp,
+               uint32_t payload_len, uint16_t category)
+{
+    // Sampling gate as in Tracer::record: shed by policy, not dropped.
+    if (!shouldRecord(category, thread, stamp))
+        return true;
+    const auto need = static_cast<uint32_t>(
+        EntryLayout::normalSize(payload_len));
+    // allocate() + writeNormal() + confirm() and nothing else: no
+    // ticket, no RAII guard (nothing between the grant and the confirm
+    // can throw), and claim()'s modeled cost goes to a local nothing
+    // reads.
+    double unread = 0.0;
+    for (;;) {
+        const Claim c = claim(core, need, need, unread);
+        if (c.dst != nullptr) {
+            shard(core).fastAllocs.fetch_add(1, std::memory_order_relaxed);
+            writeNormal(c.dst, stamp, core, thread, category, payload_len);
+            publish(core, c.slot, need);
+            return true;
+        }
+        PhaseProbe probe(activeProfiler(), ProfilePhase::Retry);
+        std::this_thread::yield();
+    }
 }
 
 Lease
@@ -540,19 +565,23 @@ BTrace::lease(uint16_t core, uint32_t thread, uint32_t payload_hint,
     if (c.dst == nullptr)
         return deniedLease(AllocStatus::Retry, cost);
 
-    const uint64_t seq = ctrs.leases.fetch_add(1, std::memory_order_relaxed);
-    ctrs.leasedOutstanding.fetch_add(c.len, std::memory_order_relaxed);
+    BTraceCounters &sc = shard(core);
+    const uint64_t count = sc.leases.fetch_add(1, std::memory_order_relaxed);
+    sc.leasedOutstanding.fetch_add(c.len, std::memory_order_relaxed);
     journalEmit(JournalEventKind::LeaseGrant, core, c.blockPos, c.len);
     TicketHandle handle;
     handle.slot = c.slot;
     // Multi-process arenas stamp an ownership record so a sweeper can
     // reclaim the span if we die holding it. aux == 0 means untracked
     // (private backend, or the owner table was full). Not charged to
-    // sharedRmws: robustness plane, not the §4.1 write protocol.
+    // sharedRmws: robustness plane, not the §4.1 write protocol. The
+    // record's leaseSeq comes from this core's own lease count, unique
+    // and nonzero per attachment.
     if (shared) {
         const RndPos at = RndPos::unpack(c.word);
         handle.aux = registerLeaseOwner(c.slot, at.rnd, at.pos, c.len,
-                                        c.blockPos, seq + 1);
+                                        c.blockPos,
+                                        count * cfg.cores + core + 1);
     }
     // The claim's own word and length let close() hand an unused tail
     // back while nothing has reserved after it.
@@ -566,6 +595,7 @@ BTrace::leaseClose(const Lease &l)
     const LeaseView v = viewOf(l);
     const uint32_t remainder = v.len - v.used;
     CostProfiler *const pf = activeProfiler();
+    BTraceCounters &sc = shard(v.core);
     LeaseOwnerRecord *rec = nullptr;
     uint32_t filled = 0;  // remainder returned as a dummy entry
     {
@@ -602,11 +632,11 @@ BTrace::leaseClose(const Lease &l)
                 // dummy-fills and confirms the span on our behalf.
                 // Publishing too would double-confirm, so drop ours;
                 // keep the level counter and the entry tally sane.
-                ctrs.leasedOutstanding.fetch_sub(
+                sc.leasedOutstanding.fetch_sub(
                     v.confirmedBytes + remainder,
                     std::memory_order_relaxed);
-                ctrs.leaseEntries.fetch_add(v.served,
-                                            std::memory_order_relaxed);
+                sc.leaseEntries.fetch_add(v.served,
+                                          std::memory_order_relaxed);
                 return;
             }
         }
@@ -627,20 +657,20 @@ BTrace::leaseClose(const Lease &l)
             meta[v.handle.slot].confirmed.fetch_add(
                 publish, std::memory_order_acq_rel);
         }
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
     }
     if (rec != nullptr)
         rec->state.store(LeaseOwnerRecord::Free,
                          std::memory_order_release);
-    ctrs.leaseEntries.fetch_add(v.served, std::memory_order_relaxed);
+    sc.leaseEntries.fetch_add(v.served, std::memory_order_relaxed);
     if (v.dummyBytes + filled > 0) {
-        ctrs.dummyBytes.fetch_add(v.dummyBytes + filled,
-                                  std::memory_order_relaxed);
+        sc.dummyBytes.fetch_add(v.dummyBytes + filled,
+                                std::memory_order_relaxed);
     }
     // Returned and published bytes both leave the outstanding level;
     // only served-but-unconfirmed slots stay behind.
-    ctrs.leasedOutstanding.fetch_sub(v.confirmedBytes + remainder,
-                                     std::memory_order_relaxed);
+    sc.leasedOutstanding.fetch_sub(v.confirmedBytes + remainder,
+                                   std::memory_order_relaxed);
     // Journal only the anomalous closes: an abandoned lease (granted,
     // served nothing) or an early revoke returning unused bytes. The
     // clean fully-used close is the hot path and says nothing.
@@ -670,10 +700,11 @@ BTrace::giveBackTail(const LeaseView &v)
     // nothing reserved above our span either. The plain load keeps a
     // doomed CAS off the shared line.
     MetadataBlock &m = meta[v.handle.slot];
+    BTraceCounters &sc = shard(v.core);
     uint64_t top = v.claimWord + v.claimLen;
     if (m.allocated.load(std::memory_order_relaxed) != top)
         return false;
-    ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+    sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
     if (!m.allocated.compare_exchange_strong(
             top, v.claimWord + v.used, std::memory_order_seq_cst,
             std::memory_order_relaxed))
@@ -693,15 +724,15 @@ BTrace::giveBackTail(const LeaseView &v)
             coreLocal[v.core]->load(std::memory_order_seq_cst));
         double unread = 0.0;  // close-side cost: replay never reads it
         if (now.pos != pos)
-            closeRound(v.handle.slot, claim.rnd, unread,
+            closeRound(sc, v.handle.slot, claim.rnd, unread,
                        BlockCloseReason::Graveyard);
     }
     return true;
 }
 
 void
-BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
-                   BlockCloseReason reason)
+BTrace::closeRound(BTraceCounters &sc, std::size_t meta_idx, uint32_t rnd,
+                   double &cost, BlockCloseReason reason)
 {
     MetadataBlock &m = meta[meta_idx];
     for (;;) {
@@ -714,7 +745,7 @@ BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
         // Critical window: a concurrent reservation or a competing
         // closer can move Allocated between the load and this claim.
         BTRACE_TEST_YIELD(ClosePreClaim);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!m.allocated.compare_exchange_weak(
                 aw, RndPos::pack(rnd, uint32_t(cap)),
                 std::memory_order_acq_rel, std::memory_order_relaxed)) {
@@ -726,9 +757,9 @@ BTrace::closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
         const uint64_t pos = uint64_t(rnd) * numActive + meta_idx;
         writeDummy(blockData(physicalOf(pos)) + a.pos, gap);
         m.confirmed.fetch_add(gap, std::memory_order_acq_rel);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-        ctrs.closes.fetch_add(1, std::memory_order_relaxed);
-        ctrs.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.closes.fetch_add(1, std::memory_order_relaxed);
+        sc.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
         cost += costs.atomicShared * 2 + costs.copy(8);
         journalEmit(JournalEventKind::BlockClose, EventJournal::kNoCore,
                     pos, uint64_t(reason));
@@ -741,11 +772,12 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 {
     const auto max_skips = 2 * numActive;
     std::size_t skips_in_a_row = 0;
+    BTraceCounters &sc = shard(core);
 
     for (;;) {
         const RatioPos g = RatioPos::unpack(global->fetch_add(
             1, std::memory_order_acq_rel));
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicShared;
 
         if (g.frozen)
@@ -771,13 +803,13 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
             // Previous round still incomplete: close the lagging block
             // (§3.2), then re-check; if a preempted writer still holds
             // unconfirmed space, sacrifice the candidate (§3.4).
-            closeRound(meta_idx, conf.rnd, cost,
+            closeRound(sc, meta_idx, conf.rnd, cost,
                        BlockCloseReason::Straggler);
             cw = m.confirmed.load(std::memory_order_acquire);
             conf = RndPos::unpack(cw);
             if (conf.rnd < cand_rnd && conf.pos != cap) {
                 writeSkipMarker(blockData(cand % n), cand);
-                ctrs.skips.fetch_add(1, std::memory_order_relaxed);
+                sc.skips.fetch_add(1, std::memory_order_relaxed);
                 cost += costs.copy(16);
                 journalEmit(JournalEventKind::BlockSkip, core, cand,
                             conf.pos);
@@ -797,11 +829,11 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 
         // Lock the block for our round (§4.2 step 4): Confirmed goes
         // from (old round, capacity) to (cand_rnd, 0).
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!m.confirmed.compare_exchange_strong(
                 cw, RndPos::pack(cand_rnd, 0),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
-            ctrs.lockRaces.fetch_add(1, std::memory_order_relaxed);
+            sc.lockRaces.fetch_add(1, std::memory_order_relaxed);
             cost += costs.retryBackoff;
             continue;
         }
@@ -824,19 +856,19 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         // Step 6: reset Allocated for the new round. Stale fetch_adds
         // from other producers keep mutating the word, so loop.
         uint64_t aw = m.allocated.load(std::memory_order_acquire);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         while (!m.allocated.compare_exchange_weak(
                    aw, RndPos::pack(cand_rnd,
                                     EntryLayout::blockHeaderBytes),
                    std::memory_order_acq_rel, std::memory_order_acquire)) {
-            ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+            sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
             cost += costs.retryBackoff;
         }
 
         // Step 7: confirm the header bytes.
         m.confirmed.fetch_add(EntryLayout::blockHeaderBytes,
                               std::memory_order_acq_rel);
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         cost += costs.atomicLocal;
 
         // Critical window: the block is locked and initialized but not
@@ -846,14 +878,14 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
 
         // Step 8: hand the block to our core.
         uint64_t expected = local_word;
-        ctrs.sharedRmws.fetch_add(1, std::memory_order_relaxed);
+        sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!coreLocal[core]->compare_exchange_strong(
                 expected, RatioPos::pack(g.ratio, false, cand),
                 std::memory_order_seq_cst, std::memory_order_acquire)) {
             // Another thread on this core already installed a block;
             // release ours by closing it and use theirs (§4.2, end).
-            ctrs.coreRaces.fetch_add(1, std::memory_order_relaxed);
-            closeRound(meta_idx, cand_rnd, cost,
+            sc.coreRaces.fetch_add(1, std::memory_order_relaxed);
+            closeRound(sc, meta_idx, cand_rnd, cost,
                        BlockCloseReason::Graveyard);
             return AdvanceResult::LostRace;
         }
@@ -872,10 +904,10 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         // close it. With nothing handed back this is one load of a
         // line we just touched.
         const uint64_t prev = RatioPos::unpack(local_word).pos;
-        closeRound(prev % numActive, checkedRound(prev, numActive), cost,
-                   BlockCloseReason::Graveyard);
+        closeRound(sc, prev % numActive, checkedRound(prev, numActive),
+                   cost, BlockCloseReason::Graveyard);
 
-        ctrs.advances.fetch_add(1, std::memory_order_relaxed);
+        sc.advances.fetch_add(1, std::memory_order_relaxed);
         return AdvanceResult::Advanced;
     }
 }

@@ -44,13 +44,18 @@
 namespace btrace {
 
 /**
- * Internal event counters (all relaxed). Live atomics are private to
- * the tracer (and white-box tests); everyone else reads a coherent
- * value-type Snapshot via BTrace::countersSnapshot() — handing out the
- * atomic struct invites torn cross-field reads (field A before an
- * update, field B after it) that look like accounting violations.
+ * One shard of the internal event counters (all relaxed). BTrace keeps
+ * one shard per core plus a spare, each on its own 128-byte pair of
+ * lines like a MetadataBlock, and every write-path site bumps the
+ * shard of the core it writes for: the counters add no RMW on a line
+ * another core writes (DESIGN.md §8). Live atomics are private to the
+ * tracer (and white-box tests); everyone else reads a coherent
+ * value-type Snapshot, summed over the shards, via
+ * BTrace::countersSnapshot() — handing out the atomics invites torn
+ * cross-field reads (field A before an update, field B after it) that
+ * look like accounting violations.
  */
-struct BTraceCounters
+struct alignas(128) BTraceCounters
 {
     std::atomic<uint64_t> fastAllocs{0};     //!< fast-path successes
     std::atomic<uint64_t> boundaryFills{0};  //!< §4.1 Fig 8c tail dummies
@@ -109,8 +114,14 @@ struct BTraceCounters
         Snapshot operator-(const Snapshot &base) const;
     };
 
-    Snapshot snapshot() const;
+    /** Field-by-field sum of @p n shards (relaxed loads). */
+    static Snapshot sum(const BTraceCounters *shards, std::size_t n);
 };
+
+static_assert(alignof(BTraceCounters) == 128 &&
+                  sizeof(BTraceCounters) == 128,
+              "a counter shard must own its 128-byte line pair: the "
+              "adjacent-line prefetcher pairs 64-byte lines");
 
 /**
  * Occupancy of the A metadata slots at one instant (§3.2 terminology):
@@ -158,7 +169,7 @@ struct MetaSlotState
 };
 
 /** Implementation of the Tracer interface per §3-§4 of the paper. */
-class BTrace : public Tracer
+class BTrace final : public Tracer
 {
   public:
     /**
@@ -198,6 +209,16 @@ class BTrace : public Tracer
                          uint32_t payload_len) override;
     void confirm(WriteTicket &ticket) override;
     void abandonWrite(WriteTicket &ticket) override;
+
+    /**
+     * Single-entry write at the cost of the protocol (§4.1): claim,
+     * fill, confirm — the same two shared RMWs, bytes, counters and
+     * probes as allocate() + writeNormal() + confirm(), without a
+     * WriteTicket or modeled cost. Spins (yielding) on Retry; never
+     * drops. Binds statically through BTrace& and Session.
+     */
+    bool record(uint16_t core, uint32_t thread, uint64_t stamp,
+                uint32_t payload_len, uint16_t category = 0) override;
 
     /**
      * Batched write claim (§4.1, amortized): one Allocated fetch_add
@@ -330,7 +351,7 @@ class BTrace : public Tracer
     /** Coherent value-type copy of the event counters. */
     BTraceCounters::Snapshot countersSnapshot() const
     {
-        return ctrs.snapshot();
+        return BTraceCounters::sum(ctrs.get(), cfg.cores + 1);
     }
 
     /** Global advancement position (candidates handed out so far). */
@@ -479,10 +500,11 @@ class BTrace : public Tracer
      * the remaining space, fill it with a dummy entry, and confirm it
      * (§3.2). No-op if the metadata has moved past @p rnd or the block
      * is already fully allocated. @p reason is journaled with the
-     * BlockClose event when the close actually lands.
+     * BlockClose event when the close actually lands. Counts into
+     * @p sc, the caller's shard.
      */
-    void closeRound(std::size_t meta_idx, uint32_t rnd, double &cost,
-                    BlockCloseReason reason);
+    void closeRound(BTraceCounters &sc, std::size_t meta_idx,
+                    uint32_t rnd, double &cost, BlockCloseReason reason);
 
     /**
      * The single relaxed enabled check of the journal plane: one
@@ -513,16 +535,33 @@ class BTrace : public Tracer
     };
 
     /**
-     * The write protocol behind allocate() and lease() (§4.1-§4.2):
-     * read the core's block, reserve @p want bytes with one Allocated
-     * fetch_add, and grant them (cut at the block end) when @p need
-     * fits. Otherwise dummy-fill the block's tail or the stale-round
-     * span the add landed in (§3.2), advance the core, and try again.
-     * Retry once advancement would block or after 64 attempts. Forced
-     * inline: both callers sit on the producer fast path.
+     * The write protocol behind allocate(), record() and lease()
+     * (§4.1-§4.2): read the core's block, reserve @p want bytes with
+     * one Allocated fetch_add, and grant them (cut at the block end)
+     * when @p need fits. Otherwise dummy-fill the block's tail or the
+     * stale-round span the add landed in (§3.2), advance the core, and
+     * try again. Retry once advancement would block or after 64
+     * attempts. Forced inline: every caller sits on the producer fast
+     * path.
      */
     [[gnu::always_inline]] inline Claim
     claim(uint16_t core, uint32_t need, uint32_t want, double &cost);
+
+    /**
+     * The confirm FAA of @p bytes granted on metadata @p slot, under
+     * the publish-phase probe (DESIGN.md §14): the second of the two
+     * shared RMWs of a single-entry write, for confirm() and record().
+     */
+    void
+    publish(uint16_t core, uint32_t slot, uint32_t bytes)
+    {
+        {
+            PhaseProbe probe(activeProfiler(), ProfilePhase::Publish);
+            meta[slot].confirmed.fetch_add(bytes,
+                                           std::memory_order_acq_rel);
+        }
+        shard(core).sharedRmws.fetch_add(1, std::memory_order_relaxed);
+    }
 
     /**
      * Find, lock, and install a fresh data block for @p core (§4.2).
@@ -594,7 +633,17 @@ class BTrace : public Tracer
     RatioLog ratioLog;
     std::mutex resizeMutex;
     EpochRegistry consumers;
-    BTraceCounters ctrs;
+    /**
+     * Event counters: cfg.cores + 1 shards, process-local (never in
+     * the arena). Shard c counts the writes made for core c; the last
+     * serves the sites with no core — consumer close-on-read, the
+     * dead-owner sweeper, resize.
+     */
+    std::unique_ptr<BTraceCounters[]> ctrs;
+
+    BTraceCounters &shard(std::size_t core) { return ctrs[core]; }
+    BTraceCounters &spareShard() { return ctrs[cfg.cores]; }
+
     /** Lifecycle journal; nullptr = disabled (the common fast path). */
     std::atomic<EventJournal *> jnl{nullptr};
     /**

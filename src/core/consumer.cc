@@ -212,7 +212,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
                 // and charged to unreadableBlocks if not.
                 const RndPos alloc = m.loadAllocated();
                 if (alloc.rnd == rnd && alloc.pos == conf.pos)
-                    closeRound(meta_idx, rnd, close_cost,
+                    closeRound(spareShard(), meta_idx, rnd, close_cost,
                                BlockCloseReason::Consumer);
                 else if (waitAt(q))
                     break;

@@ -43,6 +43,7 @@ BTrace::BTrace(AttachTag, std::unique_ptr<StorageBackend> backend,
 {
     pid_ = static_cast<uint32_t>(::getpid());
     owner_ = false;
+    ctrs = std::make_unique<BTraceCounters[]>(cfg.cores + 1);
     bindControl();
     BTRACE_ASSERT(shared, "attach constructor needs a control region");
     attachGen = span.backend()->attachGeneration();
@@ -208,8 +209,9 @@ BTrace::registerLeaseOwner(uint32_t slot, uint32_t rnd,
             continue;
         r.pid.store(pid_, std::memory_order_relaxed);
         r.attachGen.store(attachGen, std::memory_order_relaxed);
-        // Unique together with attachGen; drawn from this attachment's
-        // own lease count, never from a line shared across processes.
+        // Unique together with attachGen; drawn from the lease core's
+        // own count (BTrace::lease), never from a line shared across
+        // cores or processes.
         r.leaseSeq.store(seq, std::memory_order_relaxed);
         r.slot.store(slot, std::memory_order_relaxed);
         r.round.store(rnd, std::memory_order_relaxed);
@@ -325,14 +327,16 @@ BTrace::sweepDeadOwners()
         meta[slot].confirmed.fetch_add(span_len,
                                        std::memory_order_acq_rel);
         double cost = 0.0;
-        closeRound(slot, rnd, cost, BlockCloseReason::Graveyard);
+        closeRound(spareShard(), slot, rnd, cost,
+                   BlockCloseReason::Graveyard);
         r.state.store(LeaseOwnerRecord::Free,
                       std::memory_order_release);
 
         // The dead producer's leasedOutstanding died with its
         // process-local counters; ours never counted this lease, so
         // only the dummy tally moves here.
-        ctrs.dummyBytes.fetch_add(span_len, std::memory_order_relaxed);
+        spareShard().dummyBytes.fetch_add(span_len,
+                                          std::memory_order_relaxed);
         ++rep.reclaimedLeases;
         rep.reclaimedBytes += span_len;
         ctrl.hdr->reclaimedLeases.fetch_add(1,

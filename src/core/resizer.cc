@@ -115,7 +115,8 @@ BTrace::resize(std::size_t new_num_blocks)
             const RndPos conf = meta[m].loadConfirmed();
             if (conf.pos == cap)
                 break;
-            closeRound(m, conf.rnd, cost, BlockCloseReason::Resize);
+            closeRound(spareShard(), m, conf.rnd, cost,
+                       BlockCloseReason::Resize);
             if (meta[m].loadConfirmed().pos == cap)
                 break;
             std::this_thread::yield();  // a preempted writer owes bytes
@@ -145,7 +146,7 @@ BTrace::resize(std::size_t new_num_blocks)
             break;
     }
     ratioLog.publish();
-    ctrs.resizes.fetch_add(1, std::memory_order_relaxed);
+    spareShard().resizes.fetch_add(1, std::memory_order_relaxed);
     journalEmit(JournalEventKind::ResizeEnd, EventJournal::kNoCore,
                 g.pos, new_ratio);
 

@@ -2,10 +2,10 @@
  * @file
  * Minimal recursive-descent JSON reader shared by the observability
  * parsers (parseObsLine, parseFlightBundle). Scoped to what this
- * repo's own renderers emit: objects, arrays, strings, numbers, null.
- * No unicode escapes beyond the latin-1 range. Not a general JSON
- * parser — exists so tools and tests can round-trip obs files without
- * an external JSON dependency.
+ * repo's own renderers emit: objects, arrays, strings, numbers,
+ * booleans, null. No unicode escapes beyond the latin-1 range. Not a
+ * general JSON parser — exists so tools and tests can round-trip obs
+ * files and btrace_stats reports without an external JSON dependency.
  */
 
 #ifndef BTRACE_OBS_JSON_READER_H
@@ -22,8 +22,9 @@ namespace btrace {
 
 struct JsonValue
 {
-    enum class Type { Null, Number, String, Object, Array };
+    enum class Type { Null, Bool, Number, String, Object, Array };
     Type type = Type::Null;
+    bool boolean = false;
     double num = 0.0;
     std::string str;
     std::vector<std::pair<std::string, JsonValue>> obj;
@@ -93,6 +94,18 @@ class JsonReader
         if (s.compare(pos, 4, "null") == 0) {
             pos += 4;
             out.type = JsonValue::Type::Null;
+            return true;
+        }
+        if (s.compare(pos, 4, "true") == 0) {
+            pos += 4;
+            out.type = JsonValue::Type::Bool;
+            out.boolean = true;
+            return true;
+        }
+        if (s.compare(pos, 5, "false") == 0) {
+            pos += 5;
+            out.type = JsonValue::Type::Bool;
+            out.boolean = false;
             return true;
         }
         return fail("unexpected token");

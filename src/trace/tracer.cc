@@ -51,13 +51,20 @@ Tracer::record(uint16_t core, uint32_t thread, uint64_t stamp,
     // failure.
     if (!shouldRecord(category, thread, stamp))
         return true;
-    ScopedWrite w(*this, core, thread, payload_len,
-                  ScopedWrite::Blocking);
-    if (!w.ok())
-        return false;  // Drop: shed by design
-    w.fill(stamp, category);
-    w.commit();
-    return true;
+    for (;;) {
+        WriteTicket t = allocate(core, thread, payload_len);
+        if (t.status == AllocStatus::Ok) {
+            writeNormal(t.dst, stamp, t.core, t.thread, category,
+                        payload_len);
+            confirm(t);
+            return true;
+        }
+        if (t.status == AllocStatus::Drop)
+            return false;  // shed by design
+        // Retry-phase probe: the backoff yield, as in ScopedWrite.
+        PhaseProbe probe(activeProfiler(), ProfilePhase::Retry);
+        std::this_thread::yield();
+    }
 }
 
 ScopedWrite::ScopedWrite(Tracer &t, uint16_t core, uint32_t thread,

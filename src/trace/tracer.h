@@ -361,11 +361,13 @@ class Tracer
     virtual Dump dump() = 0;
 
     /**
-     * Convenience blocking write: allocate (spinning on Retry), fill,
-     * confirm. Returns false iff the event was dropped by design.
+     * Convenience blocking write: allocate (yielding on Retry), fill,
+     * confirm. Returns false iff the event was dropped by design. A
+     * plain loop with no RAII guard: nothing between the grant and the
+     * confirm can throw. BTrace overrides it with the bare protocol.
      */
-    bool record(uint16_t core, uint32_t thread, uint64_t stamp,
-                uint32_t payload_len, uint16_t category = 0);
+    virtual bool record(uint16_t core, uint32_t thread, uint64_t stamp,
+                        uint32_t payload_len, uint16_t category = 0);
 
     const CostModel &model() const { return costs; }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_reader.h"
 #include "trace/segment_stats.h"
 #include "trace/trace_file.h"
 
@@ -487,6 +488,50 @@ TEST_F(SegmentDirTest, JsonDocumentIsStableAndTruncates)
               std::string::npos);
 }
 
+/** @p doc parsed by the repo's own reader; a parse failure fails. */
+JsonValue
+parseJson(const std::string &doc)
+{
+    JsonValue v;
+    JsonReader r(doc);
+    EXPECT_TRUE(r.parse(v)) << r.error;
+    return v;
+}
+
+TEST_F(SegmentDirTest, JsonDocumentParsesWithJsonReader)
+{
+    // btrace_stats --json output carries booleans (the *_truncated
+    // flags, header_scan_mismatch): the reader must take them.
+    std::vector<DumpEntry> entries;
+    for (uint16_t c = 0; c < 4; ++c)
+        for (const DumpEntry &e : makeEntries(2 + c, 1, 16, 1, c))
+            entries.push_back(e);
+    writeV2Segment(seg(0), entries);
+    SegmentAggregator agg;
+    ASSERT_TRUE(agg.addAll(dir).ok());
+
+    const JsonValue doc = parseJson(agg.renderJson(/*topN=*/2));
+    ASSERT_EQ(doc.type, JsonValue::Type::Object);
+    const JsonValue *truncated = doc.find("categories_truncated");
+    ASSERT_NE(truncated, nullptr);
+    EXPECT_EQ(truncated->type, JsonValue::Type::Bool);
+    EXPECT_TRUE(truncated->boolean);
+    const JsonValue *producers = doc.find("producers_truncated");
+    ASSERT_NE(producers, nullptr);
+    EXPECT_EQ(producers->type, JsonValue::Type::Bool);
+    EXPECT_FALSE(producers->boolean);
+    const JsonValue *retention = doc.find("retention");
+    ASSERT_NE(retention, nullptr);
+    const JsonValue *mismatch = retention->find("header_scan_mismatch");
+    ASSERT_NE(mismatch, nullptr);
+    EXPECT_EQ(mismatch->type, JsonValue::Type::Bool);
+    EXPECT_FALSE(mismatch->boolean);
+    const JsonValue *totals = doc.find("totals");
+    ASSERT_NE(totals, nullptr);
+    ASSERT_NE(totals->find("records"), nullptr);
+    EXPECT_EQ(totals->find("records")->num, 14.0);
+}
+
 TEST_F(SegmentDirTest, JsonGoldenBytes)
 {
     // A v2 segment with drain provenance and loss counters (three
@@ -518,7 +563,13 @@ TEST_F(SegmentDirTest, JsonGoldenBytes)
 
     SegmentAggregator agg;
     ASSERT_TRUE(agg.addAll(dir).ok());
-    EXPECT_EQ(agg.renderJson(10),
+    const std::string top10 = agg.renderJson(10);
+    const std::string top1 = agg.renderJson(1);
+    const std::string empty = SegmentAggregator().renderJson();
+    // Golden bytes, and every document also reads back.
+    for (const std::string *doc : {&top10, &top1, &empty})
+        EXPECT_EQ(parseJson(*doc).type, JsonValue::Type::Object);
+    EXPECT_EQ(top10,
               R"({"btrace_stats_version":1,"segments":{"scanned":2,)"
               R"("v1":1,"v2":1,"torn":1,"dirty":0,"unreadable":0,)"
               R"("rotation_gaps":1,"missing_indices":2},)"
@@ -550,7 +601,7 @@ TEST_F(SegmentDirTest, JsonGoldenBytes)
               R"({"start_ns":1500000001000000000,"records":2,)"
               R"("payload_bytes":104},{"start_ns":1500000002000000000,)"
               R"("records":1,"payload_bytes":64}]})");
-    EXPECT_EQ(agg.renderJson(1),
+    EXPECT_EQ(top1,
               R"({"btrace_stats_version":1,"segments":{"scanned":2,)"
               R"("v1":1,"v2":1,"torn":1,"dirty":0,"unreadable":0,)"
               R"("rotation_gaps":1,"missing_indices":2},)"
@@ -574,7 +625,7 @@ TEST_F(SegmentDirTest, JsonGoldenBytes)
               R"({"start_ns":1500000001000000000,"records":2,)"
               R"("payload_bytes":104},{"start_ns":1500000002000000000,)"
               R"("records":1,"payload_bytes":64}]})");
-    EXPECT_EQ(SegmentAggregator().renderJson(),
+    EXPECT_EQ(empty,
               R"({"btrace_stats_version":1,"segments":{"scanned":0,)"
               R"("v1":0,"v2":0,"torn":0,"dirty":0,"unreadable":0,)"
               R"("rotation_gaps":0,"missing_indices":0},)"
