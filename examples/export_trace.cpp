@@ -9,7 +9,9 @@
  *
  *   $ ./export_trace [output-directory]
  *
- * Segments land in <output-directory>/btrace_example/; btrace_inspect
+ * Segments land in <output-directory>/btrace_example/, numbered after
+ * any an earlier run left there (the daemon resumes its directory and
+ * never overwrites it); this run reads back only its own. btrace_inspect
  * reads any one of them.
  */
 
@@ -90,8 +92,9 @@ main(int argc, char **argv)
     daemon.stop();
 
     std::vector<DumpEntry> loaded;
+    const uint64_t first = daemon.firstSegmentIndex();
     const uint64_t segments = daemon.stats().segmentsOpened;
-    for (uint64_t i = 0; i < segments; ++i) {
+    for (uint64_t i = first; i < first + segments; ++i) {
         auto seg = readTraceFile(daemonSegmentPath(dopt.outDir, i));
         if (!seg.ok()) {
             std::fprintf(stderr, "%s\n", seg.status().toString().c_str());

@@ -15,7 +15,11 @@
 #   - the metrics snapshot is rewritten mid-run and on SIGTERM, not
 #     only at clean exit;
 #   - error paths map to the documented exit codes (3 = no such
-#     arena, 2 = bad usage).
+#     arena, 2 = bad usage);
+#   - a restarted btraced resumes the segment directory: every segment
+#     of the first run keeps its sha256, and btrace_stats reads the
+#     directory as both runs (two attach generations, records = the
+#     two daemons' counts, no rotation gap).
 #
 # Usage: scripts/multiproc_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -45,9 +49,11 @@ EVENTS_PER_PRODUCER=5000
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
-# Metric helper: integer value of a btraced counter in the Prom dump.
+# Metric helper: integer value of a btraced counter in the Prom dump
+# (the first run's, or the dump named by $2).
 metric() {
-    awk -v name="$1" '$1 ~ "^"name"([{]|$)" { print int($2) }' "$METRICS"
+    awk -v name="$1" '$1 ~ "^"name"([{]|$)" { print int($2) }' \
+        "${2:-$METRICS}"
 }
 
 echo "== 1. exit-code contract on error paths"
@@ -244,6 +250,53 @@ grep -q "btraced_drains_total" "$TERM_METRICS" \
 
 echo "== 11. a late attach to the finished arena still works"
 "$INSPECT" --arena "$ARENA" > /dev/null || fail "arena post-mortem failed"
+
+echo "== 12. a restarted btraced resumes the segment directory"
+# The restart attaches to the first run's arena, so its segments carry
+# a second attach generation. A new producer wave gives it records of
+# its own; it also drains what the ring still holds from the first run.
+(cd "$SEGS" && sha256sum segment-*.btrace) > "$WORK/run1.sha256"
+RESTART_METRICS="$WORK/restart.prom"
+"$BTRACED" --arena "$ARENA" --out "$SEGS" --interval-ms 5 \
+    --duration 2 --close-active 1 --segment-bytes $((1 << 20)) \
+    --metrics-out "$RESTART_METRICS" 2>/dev/null &
+RESTART_PID=$!
+"$PRODUCER" --arena "$ARENA" --events "$EVENTS_PER_PRODUCER" --core 5 \
+    --category 2 --wallclock-stamps > "$WORK/p4.out" \
+    || fail "producer of the restarted run exited nonzero"
+wait "$RESTART_PID" || fail "restarted btraced exited nonzero"
+(cd "$SEGS" && sha256sum --check --quiet "$WORK/run1.sha256") \
+    || fail "the restart changed a segment of the first run"
+"$STATS" "$SEGS" --top 64 --json="$WORK/restart.json" > /dev/null \
+    || fail "btrace_stats failed on the resumed directory"
+python3 "$SCRIPTS/check_stats_schema.py" "$WORK/restart.json" \
+    || fail "resumed-directory stats JSON fails the schema check"
+"$INSPECT" --segments "$SEGS" > "$WORK/restart-segments.out" \
+    || fail "btrace_inspect --segments rejected the resumed directory"
+GENERATIONS=$(grep -o ' gen [0-9]*' "$WORK/restart-segments.out" \
+    | sort -u | wc -l)
+[ "$GENERATIONS" -eq 2 ] \
+    || fail "resumed directory holds $GENERATIONS attach generation(s), want 2"
+python3 - "$WORK/restart.json" "$(metric btraced_entries_total)" \
+    "$(metric btraced_entries_total "$RESTART_METRICS")" <<'PYEOF' \
+    || fail "resumed directory does not reconcile with both runs"
+import json, sys
+
+doc = json.load(open(sys.argv[1]))
+run1, run2 = int(sys.argv[2]), int(sys.argv[3])
+errs = []
+if run2 < 1:
+    errs.append("the restarted daemon drained nothing")
+if doc["totals"]["records"] != run1 + run2:
+    errs.append("segments hold %d records, the runs drained %d + %d"
+                % (doc["totals"]["records"], run1, run2))
+for key in ("rotation_gaps", "missing_indices", "dirty", "torn"):
+    if doc["segments"][key] != 0:
+        errs.append("segments.%s = %d" % (key, doc["segments"][key]))
+for e in errs:
+    sys.stderr.write("restart: %s\n" % e)
+sys.exit(1 if errs else 0)
+PYEOF
 
 echo "PASS: multi-process smoke ($TOTAL entries across segments," \
      "$(metric btraced_reclaimed_leases_total) lease(s) reclaimed," \

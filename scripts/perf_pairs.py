@@ -25,6 +25,13 @@ the metric's bound (BENCHMARK.json's end-to-end metrics; a --trace 1
 run reports the per-layer metrics instead, which have no bound).
 --json writes every run's result and the summary.
 
+Host load is read around every run, never changed: the idle + iowait
+share of the /proc/stat CPU jiffies that passed during the run, and
+the runnable task count from /proc/loadavg (the mean of the readings
+before and after; it counts this script's own reader too). Each run's
+--json record stores them as "host", and each side's medians are
+printed under the table, so a pair set taken on a busy host shows it.
+
 Exit status: 0 when every run produced a result with "correct": true
 and "failed": 0; 1 otherwise (the table is still printed for the runs
 that did); 2 on bad arguments. --self-test checks the statistics and
@@ -177,6 +184,66 @@ def verdict(result):
     return None
 
 
+# --- host load -----------------------------------------------------------
+
+
+def parse_proc_stat(text):
+    """(idle + iowait, total) jiffies of the aggregate "cpu" line."""
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            # user nice system idle iowait irq softirq steal; guest
+            # time is already counted in user and nice.
+            j = [int(v) for v in fields[1:9]]
+            return j[3] + j[4], sum(j)
+    raise ValueError("no aggregate cpu line in /proc/stat")
+
+
+def parse_loadavg(text):
+    """Runnable tasks: the numerator of /proc/loadavg's fourth field."""
+    return int(text.split()[3].split("/")[0])
+
+
+def read_host():
+    """A host-load reading, or None where /proc is not there."""
+    try:
+        with open("/proc/stat", encoding="ascii") as f:
+            stat = parse_proc_stat(f.read())
+        with open("/proc/loadavg", encoding="ascii") as f:
+            runnable = parse_loadavg(f.read())
+    except (OSError, ValueError, IndexError):
+        return None
+    return {"stat": stat, "runnable": runnable}
+
+
+def host_load(before, after):
+    """What a run's "host" record holds, from readings around it."""
+    if before is None or after is None:
+        return None
+    idle = after["stat"][0] - before["stat"][0]
+    total = after["stat"][1] - before["stat"][1]
+    return {"idle_share": idle / total if total > 0 else None,
+            "runnable": (before["runnable"] + after["runnable"]) / 2}
+
+
+def host_summary(runs):
+    """One line per side: the medians of its runs' host readings."""
+    out = []
+    for side in ("base", "head"):
+        hosts = [r["host"] for r in runs
+                 if r["side"] == side and r.get("host")
+                 and r["host"]["idle_share"] is not None]
+        if not hosts:
+            out.append(f"host, {side}: not read")
+            continue
+        idle = statistics.median(h["idle_share"] for h in hosts)
+        runnable = statistics.median(h["runnable"] for h in hosts)
+        out.append(f"host, {side}: idle+iowait {idle * 100:.1f}%, "
+                   f"runnable {runnable:.1f} (medians of {len(hosts)} "
+                   f"runs)")
+    return "\n".join(out)
+
+
 # --- running -------------------------------------------------------------
 
 
@@ -242,11 +309,13 @@ def run_pairs(args):
             order = ["base", "head"] if seed % 2 else ["head", "base"]
             res = {}
             for name in order:
+                before = read_host()
                 r = run_once(sides[name], w, seed, args.seconds,
                              args.trace)
                 res[name] = r
                 runs.append({"workload": w, "seed": seed, "side": name,
-                             "first": name == order[0], "result": r})
+                             "first": name == order[0], "result": r,
+                             "host": host_load(before, read_host())})
                 ns = (r or {}).get("metrics", {}).get("record_ns", {})
                 shown = f", record_ns {ns['value']}" if ns else ""
                 log(f"{w} seed {seed} {name}: {verdict(r) or 'ok'}{shown}")
@@ -310,6 +379,26 @@ def self_test():
     expect(verdict(res(1, 1, 1, failed=2)) is not None, "failed > 0 fails")
     expect(verdict(None) is not None, "a missing result fails")
     expect(parse_seeds("11-13,20") == [11, 12, 13, 20], "seed list")
+    stat0 = ("cpu  100 5 50 800 40 3 2 0 7 0\n"
+             "cpu0 50 2 25 400 20 1 1 0 3 0\nintr 1 2 3\n")
+    stat1 = ("cpu  160 5 70 1100 60 3 2 0 9 0\n"
+             "cpu0 80 2 35 550 30 1 1 0 4 0\nintr 4 5 6\n")
+    expect(parse_proc_stat(stat0) == (840, 1000),
+           "idle + iowait and total jiffies, guest time left out")
+    expect(parse_loadavg("0.52 0.48 0.40 3/412 9876\n") == 3,
+           "runnable count")
+    host = host_load({"stat": parse_proc_stat(stat0), "runnable": 3},
+                     {"stat": parse_proc_stat(stat1), "runnable": 2})
+    expect(host == {"idle_share": 320 / 400, "runnable": 2.5},
+           "host load over a run")
+    expect(host_load(None, {"stat": (1, 2), "runnable": 1}) is None,
+           "no /proc, no host record")
+    canned = [{"side": "base", "host": {"idle_share": v, "runnable": 1}}
+              for v in (0.9, 0.8, 0.7)]
+    canned.append({"side": "head", "host": None})
+    expect(host_summary(canned).splitlines() ==
+           ["host, base: idle+iowait 80.0%, runnable 1.0 (medians of 3 "
+            "runs)", "host, head: not read"], "host summary lines")
     print(f"self-test OK ({len(checks)} checks)")
     return 0
 
@@ -358,6 +447,8 @@ def main(argv):
           f"{len(args.seeds)} pairs per workload, {args.seconds} s, "
           f"--trace {args.trace}; odd seeds run the base first\n")
     print(markdown(rows))
+    print()
+    print(host_summary(runs))
     bad = [f"{r['workload']} seed {r['seed']} {r['side']}: {why}"
            for r in runs if (why := verdict(r["result"]))]
     if args.json:

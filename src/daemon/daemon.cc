@@ -8,18 +8,27 @@
 #include <chrono>
 #include <cstdio>
 
+#include "trace/segment_stats.h"
 #include "trace/trace_file.h"
 
 namespace btrace {
 
 namespace {
 
-/** mkdir -p: create every missing component of @p dir. */
+/**
+ * mkdir -p. One mkdir covers the usual cases (the directory exists, or
+ * only its last component is missing); the walk that creates every
+ * missing component runs only on ENOENT.
+ */
 Status
 makeDirs(const std::string &dir)
 {
     if (dir.empty() || dir == "." || dir == "/")
         return Status();
+    if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST)
+        return Status();
+    if (errno != ENOENT)
+        return errIo("cannot create output directory " + dir);
     std::string prefix;
     prefix.reserve(dir.size());
     std::size_t i = 0;
@@ -57,8 +66,19 @@ ConsumerDaemon::make(Session session, const DaemonOptions &opts)
         return st;
     std::unique_ptr<ConsumerDaemon> d(
         new ConsumerDaemon(std::move(session), opts));
+    // Resume the directory (DESIGN.md §11): what an earlier run left
+    // is kept, counted against maxSegments, and numbered after.
+    auto onDisk = listSegmentFiles(opts.outDir);
+    if (!onDisk.ok())
+        return onDisk.status();
+    for (const SegmentFile &f : onDisk.value())
+        if (f.indexed)
+            d->finished.push_back(f.index);
+    if (!d->finished.empty())
+        d->segIndex = d->finished.back() + 1;
     if (Status st = d->openSegment(); !st.ok())
         return st;
+    d->firstSegIndex = d->segIndex;
     return Expected<std::unique_ptr<ConsumerDaemon>>(std::move(d));
 }
 
@@ -75,11 +95,19 @@ ConsumerDaemon::~ConsumerDaemon()
 Status
 ConsumerDaemon::openSegment()
 {
-    const std::string path = daemonSegmentPath(opt.outDir, segIndex);
-    segFd = ::open(path.c_str(),
-                   O_CREAT | O_TRUNC | O_RDWR | O_CLOEXEC, 0644);
-    if (segFd < 0)
-        return errIo("cannot open segment " + path);
+    // O_EXCL, never O_TRUNC: a name taken since the directory was
+    // listed belongs to someone else. Skip it and leave it as it is;
+    // retention counts it like any other finished segment.
+    for (;;) {
+        const std::string path = daemonSegmentPath(opt.outDir, segIndex);
+        segFd = ::open(path.c_str(),
+                       O_CREAT | O_EXCL | O_RDWR | O_CLOEXEC, 0644);
+        if (segFd >= 0)
+            break;
+        if (errno != EEXIST)
+            return errIo("cannot open segment " + path);
+        finished.push_back(segIndex++);
+    }
     segHdr = SegmentHeaderV2{};
     segHdr.writerPid = uint64_t(::getpid());
     segHdr.attachGeneration = sess.generation();
@@ -110,18 +138,21 @@ ConsumerDaemon::rotateIfNeeded()
     finalizeSegmentLocked();
     ::close(segFd);
     segFd = -1;
-    ++segIndex;
+    finished.push_back(segIndex++);
     if (Status s = openSegment(); !s.ok())
         return s;
-    // Age out the oldest finished segments beyond the retention cap.
-    if (opt.maxSegments != 0) {
-        while (segIndex - oldestSegIndex > opt.maxSegments) {
+    // Age out the oldest finished segments beyond the retention cap,
+    // earlier runs' included.
+    if (opt.maxSegments != 0 && finished.size() > opt.maxSegments) {
+        const std::size_t drop = finished.size() - opt.maxSegments;
+        for (std::size_t i = 0; i < drop; ++i) {
             const std::string victim =
-                daemonSegmentPath(opt.outDir, oldestSegIndex);
+                daemonSegmentPath(opt.outDir, finished[i]);
             if (::unlink(victim.c_str()) == 0)
                 ++st.segmentsDeleted;
-            ++oldestSegIndex;
         }
+        finished.erase(finished.begin(),
+                       finished.begin() + std::ptrdiff_t(drop));
     }
     return Status();
 }

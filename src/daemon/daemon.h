@@ -8,8 +8,11 @@
  * consumer (BTrace::dumpFrom with a persistent cursor), appends the
  * decoded entries to a bounded rotating segment file (trace_file.h
  * format), and every few ticks sweeps the arena for leases held by
- * producers that died (Session::sweepDeadOwners). Producers in other
- * processes never block on any of it — the §4.3 consumer contract.
+ * producers that died (Session::sweepDeadOwners). A restarted daemon
+ * resumes its directory: it numbers its segments on from the highest
+ * index there and never truncates a file already on disk. Producers
+ * in other processes never block on any of it — the §4.3 consumer
+ * contract.
  * This is also the library's in-process persist mode (§2.1): run a
  * daemon on the tracer's own Session and read its segments back.
  *
@@ -62,7 +65,10 @@ struct DaemonOptions
     std::string outDir = ".";
     /** Rotate to a fresh segment once the current one exceeds this. */
     std::size_t segmentBytes = 4u << 20;
-    /** Keep at most this many finished segments (0 = unbounded). */
+    /**
+     * Keep at most this many finished segments in outDir, earlier
+     * runs' included; trimmed oldest first at rotation (0 = unbounded).
+     */
     std::size_t maxSegments = 8;
     /** Seconds between drains of the run loop. */
     double drainIntervalSec = 0.01;
@@ -133,9 +139,12 @@ class ConsumerDaemon
   public:
     /**
      * Wrap @p session (must be valid; typically Session::attachFile
-     * or attachFd, but the owner session works too). Fails with
-     * IoError when outDir cannot be created or the first segment
-     * cannot be opened.
+     * or attachFd, but the owner session works too). The daemon
+     * resumes outDir: its first segment takes the index after the
+     * highest one already there, and nothing on disk is truncated or
+     * deleted at start (DESIGN.md §11). Fails with IoError when
+     * outDir cannot be created or listed or the first segment cannot
+     * be opened.
      */
     static Expected<std::unique_ptr<ConsumerDaemon>>
     make(Session session, const DaemonOptions &opts = {});
@@ -186,6 +195,13 @@ class ConsumerDaemon
     std::string currentSegmentPath() const;
 
     /**
+     * Index of the first segment this daemon opened. A daemon resumes
+     * its directory after the highest index already there (DESIGN.md
+     * §11), so its own segments are this one and those after it.
+     */
+    uint64_t firstSegmentIndex() const { return firstSegIndex; }
+
+    /**
      * Register drain/reclaim counters, the drain-lag histogram, and
      * the per-producer labeled series on @p registry. Producers that
      * first appear in later drains get their series added lazily (the
@@ -214,7 +230,14 @@ class ConsumerDaemon
 
     int segFd = -1;
     uint64_t segIndex = 0;       //!< index of the *open* segment
-    uint64_t oldestSegIndex = 0; //!< oldest segment still on disk
+    uint64_t firstSegIndex = 0;  //!< the first segment this daemon opened
+    /**
+     * Indices of the finished segments on disk, oldest first: those
+     * the directory held at make(), then each one closed or skipped
+     * since. Retention trims from the front. A list, not an index
+     * range, so a stray high-numbered file leaves no gap to walk.
+     */
+    std::vector<uint64_t> finished;
     std::size_t segBytes = 0;    //!< payload bytes in the open segment
     SegmentHeaderV2 segHdr;      //!< accumulated header, mirrored on disk
     DumpCursor cursor;
@@ -233,7 +256,11 @@ class ConsumerDaemon
     MetricsRegistry *metricsReg = nullptr;  //!< set by registerMetrics
     uint64_t lastLagNs = 0;
 
-    ConcurrentHistogram drainLag;
+    /**
+     * One shard: its only writer is the drain's merge under mu, so
+     * per-thread shards (5.4 KiB each) would only cost set-up time.
+     */
+    ConcurrentHistogram drainLag{1};
 
     std::atomic<bool> running{false};
     std::atomic<bool> stopping{false};

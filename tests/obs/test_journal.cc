@@ -345,21 +345,30 @@ TEST(FlightRecorderTest, DumpWritesFile)
  * single-threaded write sequence.
  */
 std::string
-normalizedBundle(std::string bundle)
+normalizedBundle(const std::string &bundle)
 {
-    for (const std::string key :
-         {"\"tsc\":", "\"tid\":", "\"resident_bytes\":"}) {
-        for (std::size_t at = bundle.find(key); at != std::string::npos;
-             at = bundle.find(key, at + key.size())) {
-            const std::size_t from = at + key.size();
-            std::size_t to = from;
-            while (to < bundle.size() && bundle[to] >= '0' &&
-                   bundle[to] <= '9')
-                ++to;
-            bundle.replace(from, to - from, "N");
+    static const std::string keys[] = {"\"tsc\":", "\"tid\":",
+                                       "\"resident_bytes\":"};
+    // Copy the bundle, writing "N" for the digits after each key.
+    std::string out;
+    out.reserve(bundle.size());
+    std::size_t i = 0;
+    while (i < bundle.size()) {
+        const std::string *key = nullptr;
+        for (const std::string &k : keys)
+            if (bundle.compare(i, k.size(), k) == 0)
+                key = &k;
+        if (key == nullptr) {
+            out += bundle[i++];
+            continue;
         }
+        out += *key;
+        i += key->size();
+        while (i < bundle.size() && bundle[i] >= '0' && bundle[i] <= '9')
+            ++i;
+        out += 'N';
     }
-    return bundle;
+    return out;
 }
 
 TEST(FlightRecorderTest, BundleGoldenBytesWithJournal)
