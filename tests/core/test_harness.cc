@@ -271,6 +271,46 @@ TEST(Harness, LapDuringDumpSinceCountsOverwrittenNotAbandoned)
     expectAuditClean(bt);
 }
 
+// A streaming pass parsing an open block's confirmed entries while a
+// writer publishes another one into the block must drop the parse and
+// charge nothing: the next pass returns the block's entries, the new
+// one included, each exactly once.
+TEST(Harness, PrefixReadRacingAConfirmIsRetried)
+{
+    BTrace bt(tinyConfig(1, 2, 8));
+    for (uint64_t s = 1; s <= 3; ++s)
+        ASSERT_TRUE(bt.record(0, 1, s, 16));
+
+    PreemptionInjector inj;
+    inj.armPark(YieldPoint::ReadPostCopy);
+    DumpCursor cursor;
+    Dump first;
+    std::thread reader([&] { bt.dumpFrom(cursor, DumpOptions{}, first); });
+    const bool parked = inj.awaitParked(YieldPoint::ReadPostCopy,
+                                        std::chrono::milliseconds(2000));
+    if (parked)
+        EXPECT_TRUE(bt.record(0, 1, 4, 16));  // confirms mid-read
+    else
+        inj.disarm(YieldPoint::ReadPostCopy);
+    inj.release(YieldPoint::ReadPostCopy);
+    reader.join();
+    ASSERT_TRUE(parked) << "the pass never parsed the open block";
+
+    EXPECT_TRUE(first.entries.empty());
+    EXPECT_EQ(first.abandonedBlocks, 0u);
+    EXPECT_EQ(first.unreadableBlocks, 0u);
+    EXPECT_EQ(first.overwrittenPositions, 0u);
+
+    const Dump second = bt.dumpFrom(cursor);
+    std::vector<uint64_t> stamps;
+    for (const DumpEntry &e : second.entries)
+        stamps.push_back(e.stamp);
+    EXPECT_EQ(stamps, (std::vector<uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(second.abandonedBlocks, 0u);
+    expectDumpIntegrity(second, 4);
+    expectAuditClean(bt);
+}
+
 // A close-on-read pass that meets a block an advancer has locked but
 // not yet initialized (no header, Allocated still in the old round)
 // must stop there: walking past it as an empty position drops the

@@ -323,6 +323,61 @@ TEST_F(DaemonTest, StopRunsFinalCloseActiveDrain)
     EXPECT_EQ(loaded.value().size(), 25u);
 }
 
+TEST_F(DaemonTest, StreamingDrainsOpenBlockPrefix)
+{
+    auto s = Session::create(smallConfig());
+    ASSERT_TRUE(s.ok());
+    DaemonOptions opts;
+    opts.outDir = dir;
+    opts.closeActive = false;
+    auto d = ConsumerDaemon::make(s.take(), opts);
+    ASSERT_TRUE(d.ok());
+    ConsumerDaemon &daemon = *d.value();
+    Session &sess = daemon.session();
+
+    // Two writers leave their blocks partly filled; a streaming drain
+    // takes their records without closing either block.
+    for (uint64_t st = 1; st <= 4; ++st)
+        ASSERT_TRUE(sess->record(0, 5, st, 16));
+    for (uint64_t st = 5; st <= 7; ++st)
+        ASSERT_TRUE(sess->record(1, 6, st, 16));
+    auto n = daemon.drainOnce();
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 7u);
+    EXPECT_EQ(sess->countersSnapshot().closes, 0u);
+
+    // stop()'s close-active drain adds the records written since, and
+    // none of the drained ones again.
+    for (uint64_t st = 8; st <= 10; ++st)
+        ASSERT_TRUE(sess->record(0, 5, st, 16));
+    daemon.stop();
+    const DaemonStats ds = daemon.stats();
+    EXPECT_EQ(ds.entries, 10u);
+    EXPECT_EQ(ds.unreadableBlocks, 0u);
+    const auto tallies = daemon.producerTallies();
+    ASSERT_EQ(tallies.size(), 2u);
+    EXPECT_EQ(tallies.at(5).records, 7u);
+    EXPECT_EQ(tallies.at(6).records, 3u);
+
+    auto loaded = readTraceFile(daemonSegmentPath(dir, 0));
+    ASSERT_TRUE(loaded.ok());
+    std::multiset<uint64_t> stamps;
+    for (const DumpEntry &e : loaded.value())
+        stamps.insert(e.stamp);
+    std::multiset<uint64_t> want;
+    for (uint64_t st = 1; st <= 10; ++st)
+        want.insert(st);
+    EXPECT_EQ(stamps, want);
+
+    SegmentAggregator agg;
+    ASSERT_TRUE(agg.addAll(dir).ok());
+    EXPECT_EQ(agg.stats().records, ds.entries);
+    EXPECT_EQ(agg.stats().payloadBytes, ds.payloadBytes);
+    for (const auto &kv : tallies)
+        EXPECT_EQ(agg.stats().producers.at(kv.first).records,
+                  kv.second.records);
+}
+
 TEST_F(DaemonTest, BackgroundThreadDrainsAndSweeps)
 {
     auto s = Session::create(smallConfig(StorageKind::Shm));
