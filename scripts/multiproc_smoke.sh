@@ -19,7 +19,10 @@
 #   - a restarted btraced resumes the segment directory: every segment
 #     of the first run keeps its sha256, and btrace_stats reads the
 #     directory as both runs (two attach generations, records = the
-#     two daemons' counts, no rotation gap).
+#     two daemons' counts, no rotation gap);
+#   - a streaming btraced (--close-active 0) drains every record the
+#     producers wrote exactly once: segments = btraced_entries_total =
+#     records written, and no (writer, stamp) appears twice.
 #
 # Usage: scripts/multiproc_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -297,6 +300,57 @@ for e in errs:
     sys.stderr.write("restart: %s\n" % e)
 sys.exit(1 if errs else 0)
 PYEOF
+
+echo "== 13. a streaming btraced (--close-active 0) drains each record once"
+# Streaming drains read open blocks' confirmed entries in place and
+# read on from the same entry boundary next drain; the final drain on
+# exit closes and finishes those blocks. The ring holds every record,
+# so nothing can be lapped: the counts must match exactly.
+STREAM_ARENA="$WORK/stream.arena"
+STREAM_SEGS="$WORK/stream-segs"
+STREAM_METRICS="$WORK/stream.prom"
+"$BTRACED" --arena "$STREAM_ARENA" --create --out "$STREAM_SEGS" \
+    --blocks 512 --active 64 --block-bytes 4096 --cores 4 \
+    --interval-ms 2 --duration 3 --close-active 0 \
+    --metrics-out "$STREAM_METRICS" 2>/dev/null &
+STREAM_PID=$!
+STREAM_WRITTEN=0
+for _ in $(seq 1 100); do
+    if "$PRODUCER" --arena "$STREAM_ARENA" --events 1 --core 3 \
+        > "$WORK/s0.out" 2>/dev/null; then
+        STREAM_WRITTEN=$(cat "$WORK/s0.out")
+        break
+    fi
+    sleep 0.05
+done
+[ "$STREAM_WRITTEN" -eq 1 ] || fail "streaming daemon never created its arena"
+"$PRODUCER" --arena "$STREAM_ARENA" --events "$EVENTS_PER_PRODUCER" \
+    --core 1 --lease 8 > "$WORK/s1.out" &
+S1=$!
+"$PRODUCER" --arena "$STREAM_ARENA" --events "$EVENTS_PER_PRODUCER" \
+    --core 2 --lease 8 > "$WORK/s2.out" &
+S2=$!
+wait "$S1" || fail "streaming producer 1 exited nonzero"
+wait "$S2" || fail "streaming producer 2 exited nonzero"
+STREAM_WRITTEN=$((STREAM_WRITTEN + $(cat "$WORK/s1.out") + $(cat "$WORK/s2.out")))
+wait "$STREAM_PID" || fail "streaming btraced exited nonzero"
+: > "$WORK/stream.csv"
+for seg in "$STREAM_SEGS"/segment-*.btrace; do
+    "$INSPECT" "$seg" --csv "$WORK/seg.csv" > /dev/null \
+        || fail "cannot decode $seg"
+    tail -n +2 "$WORK/seg.csv" >> "$WORK/stream.csv"
+done
+STREAM_ON_DISK=$(wc -l < "$WORK/stream.csv")
+STREAM_DRAINED=$(metric btraced_entries_total "$STREAM_METRICS")
+[ "$STREAM_ON_DISK" -eq "$STREAM_DRAINED" ] \
+    || fail "streaming segments hold $STREAM_ON_DISK records, daemon counted $STREAM_DRAINED"
+[ "$STREAM_DRAINED" -eq "$STREAM_WRITTEN" ] \
+    || fail "streaming daemon drained $STREAM_DRAINED records, producers wrote $STREAM_WRITTEN"
+# CSV columns: stamp,core,thread,... — one row per (writer, stamp).
+DUPES=$(awk -F, '{ print $3 "," $1 }' "$WORK/stream.csv" | sort | uniq -d | wc -l)
+[ "$DUPES" -eq 0 ] || fail "$DUPES (writer, stamp) pairs drained twice"
+[ "$(metric btraced_unreadable_blocks_total "$STREAM_METRICS")" -eq 0 ] \
+    || fail "streaming daemon gave up a block"
 
 echo "PASS: multi-process smoke ($TOTAL entries across segments," \
      "$(metric btraced_reclaimed_leases_total) lease(s) reclaimed," \

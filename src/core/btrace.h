@@ -243,26 +243,40 @@ class BTrace final : public Tracer
 
     /**
      * Incremental consumer read (§4.3, daemon-collector mode): fill
-     * @p out (reset first, its entry capacity reused) with the blocks
-     * completed at positions >= @p cursor, advancing @p cursor past
-     * everything read. A cursor that fell behind the
-     * overwrite frontier snaps forward to the last-N window and the
-     * skipped span is charged to Dump::overwrittenPositions (data the
-     * producers already overwrote).
+     * @p out (reset first, its entry capacity reused) with the entries
+     * confirmed since the previous call with @p cursor, advancing it
+     * past everything read. A cursor that fell behind the overwrite
+     * frontier snaps forward to the last-N window and the skipped span
+     * is charged to Dump::overwrittenPositions (data the producers
+     * already overwrote).
+     *
+     * The default streaming read closes nothing. It first reads on
+     * the open blocks earlier passes read in part (DumpCursor::
+     * partial), each from where its last read stopped, then walks the
+     * new positions. An open block whose reservations are all
+     * confirmed is read up to its confirmed end and remembered; one
+     * with unconfirmed writes (an open lease, a preempted writer), or
+     * whose prefix parse a writer's publish invalidated, is remembered
+     * as it stands and read on by a later pass. Either way the walk
+     * goes on past it. A block still being initialized by an
+     * advancement ends the pass there. The wait for a block is
+     * bounded: one more than 2 x activeBlocks positions behind the
+     * newest, or any block on a DumpOptions::lastPass, is given up
+     * and charged to Dump::unreadableBlocks unless it completed
+     * meanwhile. A remembered block the producers lap counts as one
+     * overwritten position.
      *
      * With DumpOptions::closeActive, non-filled blocks whose writes
-     * are all confirmed are read too and then *closed* by filling
-     * their remaining space with dummy data, exactly as the paper's
-     * consumer does — producers move on to fresh blocks. A block with
-     * unconfirmed in-flight writes (or still being initialized) ends
-     * the pass there, as an open block does for a streaming read: a
-     * later call resumes at it once the writes publish. The wait is
-     * bounded: a block more than 2 x activeBlocks positions behind
-     * the newest, or any block on a DumpOptions::lastPass, is walked
-     * past instead and charged to Dump::unreadableBlocks unless it
-     * completed meanwhile. With DumpOptions::readOpen, open blocks
-     * are instead read in place and the walk continues past them
-     * (snapshot semantics).
+     * are all confirmed are instead *closed* by filling their
+     * remaining space with dummy data, exactly as the paper's
+     * consumer does, then read to the end — producers move on to
+     * fresh blocks. A block with unconfirmed in-flight writes (or
+     * still being initialized) ends the pass there; a later call
+     * resumes at it once the writes publish, under the same bound.
+     * Remembered blocks are closed and finished from their offsets.
+     * With DumpOptions::readOpen, open blocks are read in place from
+     * their start and the walk continues past them (snapshot
+     * semantics); remembered blocks are left for a later pass.
      */
     void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
                   Dump &out);
@@ -587,17 +601,21 @@ class BTrace final : public Tracer
 
     /**
      * Speculative consumer read of one physical block (§4.3), parsed
-     * in place. Appends parsed entries and tallies skipped blocks on
-     * @p out; an Abandoned block leaves @p out.entries as it found
-     * them. Unreadable and Abandoned outcomes are returned
-     * *unclassified* —
-     * the caller decides whether to wait for the block (dumpFrom near
-     * the frontier), or whether it is a transient abandoned read
-     * (dump) or permanently overwritten data (dumpFrom at a lapped
-     * position).
+     * in place from byte @p offset: an entry boundary, where an
+     * earlier read of the block stopped (EntryLayout::blockHeaderBytes
+     * for a block not read before). On Data, @p offset is set to
+     * where this parse ended. An offset outside the block's readable
+     * bytes is Unreadable and parses nothing. Appends parsed entries
+     * and tallies skipped blocks on @p out; an Abandoned block leaves
+     * @p out.entries as it found them. Unreadable and Abandoned
+     * outcomes are returned *unclassified* — the caller decides
+     * whether to wait for the block (dumpFrom near the frontier), or
+     * whether it is a transient abandoned read (dump) or permanently
+     * overwritten data (dumpFrom at a lapped position).
      */
     BlockReadStatus readBlock(uint64_t phys, uint64_t window_start,
-                              uint64_t window_end, Dump &out);
+                              uint64_t window_end, std::size_t &offset,
+                              Dump &out);
 
     BTraceConfig cfg;
     std::size_t cap;           //!< block capacity bytes (= cfg.blockSize)

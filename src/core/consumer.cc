@@ -29,7 +29,7 @@ loadSharedWord(const uint8_t *src)
 
 BlockReadStatus
 BTrace::readBlock(uint64_t phys, uint64_t window_start,
-                  uint64_t window_end, Dump &out)
+                  uint64_t window_end, std::size_t &offset, Dump &out)
 {
     const uint8_t *src = blockData(phys);
 
@@ -88,14 +88,19 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
         std::min(readable, cap) & ~std::size_t(7);
     if (parse_len < EntryLayout::blockHeaderBytes)
         return BlockReadStatus::Unreadable;  // corrupt; nothing parseable
+    // The offset came from an earlier read of the same shared words:
+    // one beyond parse_len (Confirmed rewritten below what that read
+    // took) or off the entry grid parses nothing.
+    if (offset < EntryLayout::blockHeaderBytes || offset > parse_len ||
+        offset % EntryLayout::align != 0)
+        return BlockReadStatus::Unreadable;
 
     // Parse in place, straight into the caller's dump. Writers may be
     // overwriting the block meanwhile: the cursor reads only relaxed
     // atomic words and bounds every entry by parse_len, so at worst it
     // decodes garbage, which the re-validation below throws away.
     const std::size_t before = out.entries.size();
-    EntryCursor cursor(src + EntryLayout::blockHeaderBytes,
-                       parse_len - EntryLayout::blockHeaderBytes);
+    EntryCursor cursor(src + offset, parse_len - offset);
     EntryView view;
     while (cursor.next(view)) {
         if (view.type != EntryType::Normal)
@@ -133,6 +138,7 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
         out.entries.resize(before);
         return BlockReadStatus::Abandoned;
     }
+    offset = parse_len;
     return BlockReadStatus::Data;
 }
 
@@ -161,10 +167,10 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
     const uint64_t window_start = window_end > n ? window_end - n : 0;
 
     // Snapshot-peek mode (closeActive wins when both are set): read
-    // open blocks in place, keep walking past them, and suppress the
-    // loss accounting — a snapshot re-reads the same window later, so
-    // charging overwrittenPositions would misreport retention churn as
-    // data loss.
+    // open blocks in place from their start, keep walking past them,
+    // and suppress the loss accounting — a snapshot re-reads the same
+    // window later, so charging overwrittenPositions would misreport
+    // retention churn as data loss.
     const bool peek = opts.readOpen && !opts.closeActive;
 
     // Catch up to the overwrite frontier (§4.3): positions the
@@ -172,38 +178,37 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
     // caller sees the data loss instead of a silent cursor jump.
     if (!peek && window_start > cursor.position)
         out.overwrittenPositions = window_start - cursor.position;
-    // Positions below numActive are the synthetic round 0 that no
-    // advancement ever hands out: nothing to read, and no loss either.
-    // Touching them would fault in numActive never-written pages of a
-    // young arena on every snapshot.
-    uint64_t q = std::max({cursor.position, window_start,
-                           uint64_t(numActive)});
 
-    // Whether to stop at position p, and resume there next pass, when
-    // its block cannot be read yet: only near the frontier, where an
-    // open lease or an advancement in flight completes soon, and only
-    // with a later pass to come. Farther back the block is walked past
-    // — one stuck block (a writer killed mid-write) must not hold back
-    // the complete blocks after it until the producers lap them.
+    // Whether to wait for the block at position p, when it cannot be
+    // read yet: only near the frontier, where an open lease or an
+    // advancement in flight completes soon, and only with a later
+    // pass to come. Farther back it is given up — one stuck block (a
+    // writer killed mid-write) must not be waited for until the
+    // producers lap it.
     const auto waitAt = [&](uint64_t p) {
         return !opts.lastPass && window_end - p <= 2 * numActive;
     };
 
+    // Read the block at p from @p offset. Done: finished with it.
+    // Keep: read on from @p offset next pass. Stop: end the walk
+    // here, resume at p next pass.
+    enum class Next { Done, Keep, Stop };
     double close_cost = 0.0;
-    for (; q < window_end; ++q) {
-        const std::size_t meta_idx = q % numActive;
-        const auto rnd = static_cast<uint32_t>(q / numActive);
+    const auto visit = [&](uint64_t p, std::size_t &offset) {
+        const std::size_t meta_idx = p % numActive;
+        const auto rnd = static_cast<uint32_t>(p / numActive);
         const MetadataBlock &m = meta[meta_idx];
         const RndPos conf = m.loadConfirmed();
         bool unconfirmed = false;  // walked past with writes in flight
+        bool streamed = false;     // open block a streaming pass reads
 
         if (conf.rnd == rnd && conf.pos < cap) {
             // Current-round block, still being filled. With
             // closeActive we shut it (§4.3 non-filled handling) so
             // its contents can be returned now and producers move to
-            // a fresh block; a snapshot-peek reads it in place and
-            // walks on; an incremental consumer stops here —
-            // consuming a partial block would lose its later entries.
+            // a fresh block; a snapshot-peek reads it in place; a
+            // streaming pass reads its confirmed entries and comes
+            // back for the rest.
             if (opts.closeActive) {
                 // Unconfirmed writes (an open lease, a preempted
                 // writer) or an advancement still initializing the
@@ -214,12 +219,12 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
                 if (alloc.rnd == rnd && alloc.pos == conf.pos)
                     closeRound(spareShard(), meta_idx, rnd, close_cost,
                                BlockCloseReason::Consumer);
-                else if (waitAt(q))
-                    break;
+                else if (waitAt(p))
+                    return Next::Stop;
                 else
                     unconfirmed = true;
-            } else if (!peek) {
-                break;
+            } else {
+                streamed = !peek;
             }
         } else if (conf.rnd < rnd) {
             // Metadata has not reached this round: either an
@@ -228,25 +233,26 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
             // snapshot never waits — it still reads the position (the
             // physical block may hold a countable skip marker) and
             // keeps walking.
-            if (!peek) {
-                if (waitAt(q))
-                    break;
-                continue;
-            }
+            if (!peek)
+                return waitAt(p) ? Next::Stop : Next::Done;
         }
 
-        const BlockReadStatus r = readBlock(physicalOf(q), q, q + 1, out);
-        if (r == BlockReadStatus::Data || r == BlockReadStatus::Skipped)
-            continue;
+        const BlockReadStatus r =
+            readBlock(physicalOf(p), p, p + 1, offset, out);
+        if (r == BlockReadStatus::Data)
+            return offset < cap && !peek ? Next::Keep : Next::Done;
+        if (r == BlockReadStatus::Skipped)
+            return Next::Done;
 
         if (r == BlockReadStatus::Unreadable || unconfirmed) {
             // Not flagged above: a writer reserved between that check
-            // and the close (or the metadata is corrupt). The same
-            // rule as for a block found unconfirmed.
-            if (!unconfirmed && !peek && waitAt(q))
-                break;
+            // and the close (or the metadata is corrupt), or a
+            // streamed block holds unconfirmed writes. The same rule
+            // as for a block found unconfirmed.
+            if (!unconfirmed && !peek && waitAt(p))
+                return opts.closeActive ? Next::Stop : Next::Keep;
             ++out.unreadableBlocks;
-            continue;
+            return Next::Done;
         }
 
         if (peek) {
@@ -254,12 +260,12 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
             // a transient abandoned read, never charged as loss.
             if (r == BlockReadStatus::Abandoned)
                 ++out.abandonedBlocks;
-            continue;
+            return Next::Done;
         }
 
-        // The block for q yielded nothing (vanished header, header
+        // The block for p yielded nothing (vanished header, header
         // from another lap, or a parse invalidated mid-read). If the
-        // producers have lapped q by now — the head moved a full
+        // producers have lapped p by now — the head moved a full
         // buffer past it while this dump was in flight — the data is
         // permanently gone and belongs in overwrittenPositions, the
         // same bucket as positions lost before the read started. A
@@ -268,10 +274,48 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
         // loss at the wrap boundary.
         const RatioPos now = RatioPos::unpack(
             global->load(std::memory_order_acquire));
-        if (now.pos > q + numActive * now.ratio)
+        if (now.pos > p + numActive * now.ratio) {
             ++out.overwrittenPositions;
-        else if (r == BlockReadStatus::Abandoned)
+            return Next::Done;
+        }
+        // A streamed block whose parse a writer's publish invalidated,
+        // or whose header its advancement is still writing: read it
+        // again next pass, uncharged.
+        if (streamed && waitAt(p))
+            return Next::Keep;
+        if (r == BlockReadStatus::Abandoned)
             ++out.abandonedBlocks;
+        return Next::Done;
+    };
+
+    if (!peek) {
+        // Finish or extend the blocks earlier passes read in part,
+        // each from where its last read stopped. One the producers
+        // lapped meanwhile is one lost position: the position a
+        // cursor that waited at it would have charged.
+        std::size_t kept = 0;
+        for (DumpCursor::Partial b : cursor.partial) {
+            if (b.position < window_start)
+                ++out.overwrittenPositions;
+            else if (visit(b.position, b.offset) != Next::Done)
+                cursor.partial[kept++] = b;
+        }
+        cursor.partial.resize(kept);
+    }
+
+    // Positions below numActive are the synthetic round 0 that no
+    // advancement ever hands out: nothing to read, and no loss either.
+    // Touching them would fault in numActive never-written pages of a
+    // young arena on every snapshot.
+    uint64_t q = std::max({cursor.position, window_start,
+                           uint64_t(numActive)});
+    for (; q < window_end; ++q) {
+        std::size_t offset = EntryLayout::blockHeaderBytes;
+        const Next next = visit(q, offset);
+        if (next == Next::Stop)
+            break;
+        if (next == Next::Keep)
+            cursor.partial.push_back({q, offset});
     }
     if (!peek)
         journalEmit(JournalEventKind::ConsumerPass,

@@ -76,7 +76,10 @@ struct DaemonOptions
     unsigned sweepEveryNDrains = 16;
     /**
      * Close partially filled blocks on each drain (§4.3 close-on-read)
-     * so the newest entries don't wait in their active blocks.
+     * instead of streaming them. Both modes drain every confirmed
+     * entry, open blocks' included, so this buys no freshness: it
+     * makes producers move on to fresh blocks, at the cost of the
+     * dummy bytes that fill each closed block's free space.
      */
     bool closeActive = true;
 };
@@ -96,9 +99,10 @@ struct DaemonStats
     uint64_t skippedBlocks = 0;  //!< blocks lost to SKP markers
     uint64_t abandonedBlocks = 0;
     /**
-     * Blocks a drain walked past while a writer still held them (a
+     * Blocks a drain gave up while a writer still held them (a
      * writer that died mid-write, or any holder at the final drain):
-     * their entries never reach a segment. Not in the segment header.
+     * their unread entries never reach a segment. Not in the segment
+     * header.
      */
     uint64_t unreadableBlocks = 0;
     /**
@@ -169,8 +173,9 @@ class ConsumerDaemon
 
     /**
      * Stop the thread, run one final close-active drain so the tail
-     * of every open block is captured, and sync the segment.
-     * Idempotent; the destructor calls it.
+     * of every open block is captured (blocks earlier streaming
+     * drains read in part are finished from where they stopped), and
+     * sync the segment. Idempotent; the destructor calls it.
      */
     void stop();
 

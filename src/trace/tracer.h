@@ -120,47 +120,61 @@ struct Dump
 
 /**
  * Opaque incremental-read position for BTrace::dumpFrom(): the global
- * block position the next read starts at. Value-initialize to start
- * from the beginning; reuse the same cursor across calls to receive
- * only new data.
+ * block position the next read starts at, plus the open blocks behind
+ * it that earlier passes read in part. Value-initialize to start from
+ * the beginning; reuse the same cursor across calls to receive only
+ * new data.
  */
 struct DumpCursor
 {
+    /** A block read up to an entry boundary, to be read on from there. */
+    struct Partial
+    {
+        uint64_t position = 0;  //!< global block position
+        std::size_t offset = 0; //!< byte offset of its first unread entry
+    };
+
     uint64_t position = 0;  //!< next global block position to read
+    /**
+     * Open blocks behind position read in part, oldest first: about
+     * one per writer's open block. Capacity is kept across passes.
+     */
+    std::vector<Partial> partial;
 };
 
 /**
  * Behavior switches for BTrace::dumpFrom(). The default (both off) is
- * the conservative streaming read: completed blocks only, stop at the
- * first still-open block.
+ * the streaming read: every confirmed entry, open blocks' included,
+ * without closing any block; an open block is read on from where the
+ * previous pass stopped.
  */
 struct DumpOptions
 {
     /**
      * Close partially filled blocks whose writes are all confirmed,
-     * then read them (§4.3 non-filled handling): the newest entries
-     * are returned now and producers move on to fresh blocks. Blocks
-     * with unconfirmed in-flight writes are left alone, and the pass
-     * stops at the first one so a later pass resumes there — unless
-     * it lies far behind the newest block (BTrace: more than 2 x
-     * activeBlocks positions) or lastPass is set; then it is walked
-     * past and charged to Dump::unreadableBlocks.
+     * then read them (§4.3 non-filled handling): producers move on to
+     * fresh blocks, at the cost of dummy-filling the closed blocks'
+     * free space. Blocks with unconfirmed in-flight writes are left
+     * alone, and the pass stops at the first one so a later pass
+     * resumes there — unless it lies far behind the newest block
+     * (BTrace: more than 2 x activeBlocks positions) or lastPass is
+     * set; then it is walked past and charged to
+     * Dump::unreadableBlocks.
      */
     bool closeActive = false;
     /**
-     * Snapshot-peek mode: read open blocks *without* closing them and
-     * keep walking past them instead of stopping. Entries of a block
-     * read this way will be returned again by a later pass once the
-     * block completes, and the pass performs no loss accounting —
-     * this is what makes dump() a plain non-destructive snapshot.
-     * Mutually exclusive with closeActive (closeActive wins).
+     * Snapshot-peek mode: read every readable block from its start,
+     * open ones included, remember nothing about them, and perform no
+     * loss accounting — this is what makes dump() a plain
+     * non-destructive snapshot. Mutually exclusive with closeActive
+     * (closeActive wins).
      */
     bool readOpen = false;
     /**
      * No later pass follows (a consumer's final drain at shutdown).
-     * A close-on-read pass then never stops to wait for a block, so
-     * every complete block after one still held by a writer is read
-     * too.
+     * The pass then waits for no block: every complete block after
+     * one still held by a writer is read too, and a block still held
+     * is charged to Dump::unreadableBlocks.
      */
     bool lastPass = false;
 };

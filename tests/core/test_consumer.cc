@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -157,8 +158,12 @@ TEST(Consumer, DumpSinceReportsOverwrittenPositions)
     const Dump d2 = bt.dumpFrom(cursor);
     EXPECT_EQ(d2.overwrittenPositions, 0u);
 
-    // Fall behind again: the loss is exactly cursor-to-frontier.
-    const uint64_t lagging = cursor.position;
+    // Fall behind again: the loss is exactly from the oldest position
+    // not yet read in full (the open block read in part) to the
+    // frontier.
+    uint64_t lagging = cursor.position;
+    for (const DumpCursor::Partial &b : cursor.partial)
+        lagging = std::min(lagging, b.position);
     for (uint64_t s = 5001; s <= 10000; ++s)
         ASSERT_TRUE(bt.record(0, 1, s, 16));
     const uint64_t frontier2 = insp.globalWord().pos - n;
@@ -191,6 +196,97 @@ TEST(Consumer, TornConfirmedCountNeverOverrunsScratch)
     // must be discarded, not returned torn.
     EXPECT_TRUE(out.entries.empty());
     EXPECT_EQ(out.abandonedBlocks + out.unreadableBlocks, 1u);
+}
+
+TEST(Consumer, StoredOffsetStaysInsideTheBlock)
+{
+    // A streaming cursor keeps, for a block it read in part, the
+    // offset where the read stopped: derived from shared words another
+    // process can scribble on. Neither Confirmed rewritten below or
+    // torn around that offset, nor block bytes rewritten between
+    // passes, may make a pass parse outside [offset, capacity) or
+    // return an entry twice. Core 1's blocks lie right after core 0's
+    // in memory, so a parse that ran past core 0's block would return
+    // their entries again.
+    BTrace bt(smallConfig(1024, 32, 8, 2));
+    BTraceInspector insp(bt);
+    DumpCursor cursor;
+    std::set<uint64_t> seen;
+    const auto pass = [&] {
+        std::vector<uint64_t> stamps;
+        for (const DumpEntry &e : bt.dumpFrom(cursor).entries) {
+            EXPECT_TRUE(e.payloadOk) << "torn entry " << e.stamp;
+            EXPECT_TRUE(seen.insert(e.stamp).second)
+                << "stamp " << e.stamp << " returned twice";
+            stamps.push_back(e.stamp);
+        }
+        return stamps;
+    };
+
+    for (uint64_t s = 1; s <= 5; ++s)
+        ASSERT_TRUE(bt.record(0, 1, s, 16));
+    for (uint64_t s = 6; s <= 60; ++s)
+        ASSERT_TRUE(bt.record(1, 2, s, 16));
+    EXPECT_EQ(pass().size(), 60u);
+
+    const uint64_t pos = insp.coreWord(0).pos;
+    const std::size_t m = pos % insp.activeBlocks();
+    const uint64_t phys = insp.physicalOf(pos);
+    const RndPos real = insp.confirmed(m);
+    const std::size_t read_to = 16 + 5 * 40;  // header + five entries
+    ASSERT_EQ(real.pos, read_to);
+    const auto partialOf = [&]() -> DumpCursor::Partial & {
+        for (DumpCursor::Partial &b : cursor.partial)
+            if (b.position == pos)
+                return b;
+        ADD_FAILURE() << "core 0's block is not remembered";
+        return cursor.partial.front();
+    };
+    ASSERT_EQ(partialOf().offset, read_to);
+
+    // Confirmed below the offset, torn just past it, and torn into the
+    // unwritten rest of the block: no entry.
+    for (const uint32_t bad : {uint32_t(read_to - 40), uint32_t(read_to + 4),
+                               uint32_t(read_to + 44)}) {
+        insp.seedMetadata(m, RndPos{real.rnd, bad}, RndPos{real.rnd, bad});
+        EXPECT_TRUE(pass().empty()) << "Confirmed " << bad;
+    }
+    insp.seedMetadata(m, real, real);
+
+    // An offset of its own past the capacity or off the entry grid
+    // parses nothing either.
+    for (const std::size_t bad : {std::size_t(1032), std::size_t(1) << 40,
+                                  read_to + 4, std::size_t(8)}) {
+        partialOf().offset = bad;
+        EXPECT_TRUE(pass().empty()) << "offset " << bad;
+    }
+    partialOf().offset = read_to;
+
+    // Unread bytes rewritten: a descriptor claiming a size past the
+    // block, then a header naming another position. The pass returns
+    // nothing and comes back; rewritten bytes already read are never
+    // parsed again.
+    ASSERT_TRUE(bt.record(0, 1, 61, 16));
+    ASSERT_TRUE(bt.record(0, 1, 62, 16));
+    const uint64_t desc = insp.blockWord(phys, read_to);
+    insp.seedBlockWord(phys, read_to,
+                       Descriptor::pack(EntryType::Normal, 0, 4096));
+    insp.seedBlockWord(phys, 16 + 24, ~uint64_t(0));  // stamp 1's payload
+    EXPECT_TRUE(pass().empty());
+    insp.seedBlockWord(phys, read_to, desc);
+    const uint64_t header_pos = insp.blockWord(phys, 8);
+    insp.seedBlockWord(phys, 8, header_pos + 1);
+    EXPECT_TRUE(pass().empty());
+    insp.seedBlockWord(phys, 8, header_pos);
+    EXPECT_EQ(pass(), (std::vector<uint64_t>{61, 62}));
+    EXPECT_TRUE(pass().empty());
+
+    // Confirmed past the capacity reads as a complete block: parsed up
+    // to the capacity at most, then given up as torn.
+    insp.seedMetadata(m, RndPos{real.rnd, 5000}, RndPos{real.rnd, 5000});
+    const Dump torn = bt.dumpFrom(cursor);
+    EXPECT_TRUE(torn.entries.empty());
+    EXPECT_EQ(torn.abandonedBlocks, 1u);
 }
 
 TEST(Consumer, ReusedDumpHoldsOnlyTheNewPass)
