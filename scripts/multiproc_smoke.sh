@@ -303,9 +303,9 @@ PYEOF
 
 echo "== 13. a streaming btraced (--close-active 0) drains each record once"
 # Streaming drains read open blocks' confirmed entries in place and
-# read on from the same entry boundary next drain; the final drain on
-# exit closes and finishes those blocks. The ring holds every record,
-# so nothing can be lapped: the counts must match exactly.
+# read on from the same entry boundary next drain, the final drain on
+# exit too. The ring holds every record, so nothing can be lapped: the
+# counts must match exactly.
 STREAM_ARENA="$WORK/stream.arena"
 STREAM_SEGS="$WORK/stream-segs"
 STREAM_METRICS="$WORK/stream.prom"

@@ -139,18 +139,18 @@ struct ActiveBlockOccupancy
 
 /**
  * Outcome of one speculative block read (§4.3). The reader itself only
- * classifies; what a non-Data outcome *means* depends on the caller:
- * dump() charges Abandoned to Dump::abandonedBlocks, while an
- * incremental dumpFrom() charges any vanished block at a position the
- * producers have lapped to Dump::overwrittenPositions — that data is
- * permanently gone, not merely unreadable right now.
+ * classifies; BTrace::dumpFrom() applies one rule to every outcome
+ * that yields nothing: read again next pass near the frontier, or
+ * charged — to Dump::overwrittenPositions when the producers have
+ * lapped the position, else Unreadable to Dump::unreadableBlocks and
+ * Abandoned to Dump::abandonedBlocks.
  */
 enum class BlockReadStatus
 {
     Data,        //!< entries appended to the dump
     Empty,       //!< no valid header: never used, or decommitted
-    Skipped,     //!< skip marker for a window position (§3.4)
-    Stale,       //!< header names a position outside the window
+    Skipped,     //!< skip marker for this position (§3.4)
+    Stale,       //!< header names another position
     Unreadable,  //!< unconfirmed in-flight writes or corrupt state
     Abandoned,   //!< concurrent overwrite detected after the copy
 };
@@ -234,10 +234,11 @@ class BTrace final : public Tracer
                 uint32_t n) override;
 
     /**
-     * Non-destructive snapshot: dumpFrom with a fresh cursor in
-     * snapshot-peek mode (DumpOptions::readOpen) — every readable
-     * block of the retention window, open blocks included, nothing
-     * closed, no loss accounting.
+     * Non-destructive snapshot: the DumpOptions::lastPass of a fresh
+     * cursor — every readable block of the retention window, open
+     * blocks' confirmed entries included, nothing closed. It reports
+     * no Dump::overwrittenPositions: what lies behind the window is
+     * retention, not loss.
      */
     Dump dump() override;
 
@@ -250,33 +251,27 @@ class BTrace final : public Tracer
      * is charged to Dump::overwrittenPositions (data the producers
      * already overwrote).
      *
-     * The default streaming read closes nothing. It first reads on
-     * the open blocks earlier passes read in part (DumpCursor::
-     * partial), each from where its last read stopped, then walks the
-     * new positions. An open block whose reservations are all
-     * confirmed is read up to its confirmed end and remembered; one
-     * with unconfirmed writes (an open lease, a preempted writer), or
-     * whose prefix parse a writer's publish invalidated, is remembered
-     * as it stands and read on by a later pass. Either way the walk
-     * goes on past it. A block still being initialized by an
-     * advancement ends the pass there. The wait for a block is
-     * bounded: one more than 2 x activeBlocks positions behind the
-     * newest, or any block on a DumpOptions::lastPass, is given up
-     * and charged to Dump::unreadableBlocks unless it completed
-     * meanwhile. A remembered block the producers lap counts as one
-     * overwritten position.
+     * One walk, one rule. The pass first reads on the blocks earlier
+     * passes kept (DumpCursor::partial), each from where its last
+     * read stopped, then reads the block of every new position up to
+     * the newest. A skip marker is counted in Dump::skippedBlocks and
+     * passed. An open block whose reservations are all confirmed is
+     * read up to its confirmed end and kept, to be read on next pass.
+     * A block that yields nothing — unconfirmed writes (an open
+     * lease, a preempted writer), a header its advancement is still
+     * writing, a parse a writer's publish invalidated — is kept and
+     * read again next pass, uncharged, while it lies within 2 x
+     * activeBlocks positions of the newest and DumpOptions::lastPass
+     * is off. Otherwise it is charged: to Dump::overwrittenPositions
+     * if the producers have lapped it, else to Dump::unreadableBlocks
+     * or Dump::abandonedBlocks. A kept block the producers lap counts
+     * as one overwritten position. The walk never stops early.
      *
-     * With DumpOptions::closeActive, non-filled blocks whose writes
-     * are all confirmed are instead *closed* by filling their
+     * With DumpOptions::closeActive, a current-round block whose
+     * reservations are all confirmed is first *closed* by filling its
      * remaining space with dummy data, exactly as the paper's
-     * consumer does, then read to the end — producers move on to
-     * fresh blocks. A block with unconfirmed in-flight writes (or
-     * still being initialized) ends the pass there; a later call
-     * resumes at it once the writes publish, under the same bound.
-     * Remembered blocks are closed and finished from their offsets.
-     * With DumpOptions::readOpen, open blocks are read in place from
-     * their start and the walk continues past them (snapshot
-     * semantics); remembered blocks are left for a later pass.
+     * consumer does, and then read to its end: producers move on to
+     * fresh blocks.
      */
     void dumpFrom(DumpCursor &cursor, const DumpOptions &opts,
                   Dump &out);
@@ -600,21 +595,18 @@ class BTrace final : public Tracer
     }
 
     /**
-     * Speculative consumer read of one physical block (§4.3), parsed
-     * in place from byte @p offset: an entry boundary, where an
-     * earlier read of the block stopped (EntryLayout::blockHeaderBytes
-     * for a block not read before). On Data, @p offset is set to
-     * where this parse ended. An offset outside the block's readable
-     * bytes is Unreadable and parses nothing. Appends parsed entries
-     * and tallies skipped blocks on @p out; an Abandoned block leaves
-     * @p out.entries as it found them. Unreadable and Abandoned
-     * outcomes are returned *unclassified* — the caller decides
-     * whether to wait for the block (dumpFrom near the frontier), or
-     * whether it is a transient abandoned read (dump) or permanently
-     * overwritten data (dumpFrom at a lapped position).
+     * Speculative consumer read of global position @p pos's block
+     * (§4.3), parsed in place from byte @p offset: an entry boundary,
+     * where an earlier read of the block stopped
+     * (EntryLayout::blockHeaderBytes for a block not read before). On
+     * Data, @p offset is set to where this parse ended. An offset
+     * outside the block's readable bytes is Unreadable and parses
+     * nothing. Appends parsed entries and tallies a skip marker for
+     * @p pos on @p out; an Abandoned block leaves @p out.entries as it
+     * found them. Other outcomes are left to the caller (dumpFrom's
+     * one rule).
      */
-    BlockReadStatus readBlock(uint64_t phys, uint64_t window_start,
-                              uint64_t window_end, std::size_t &offset,
+    BlockReadStatus readBlock(uint64_t pos, std::size_t &offset,
                               Dump &out);
 
     BTraceConfig cfg;

@@ -28,10 +28,9 @@ loadSharedWord(const uint8_t *src)
 } // namespace
 
 BlockReadStatus
-BTrace::readBlock(uint64_t phys, uint64_t window_start,
-                  uint64_t window_end, std::size_t &offset, Dump &out)
+BTrace::readBlock(uint64_t pos, std::size_t &offset, Dump &out)
 {
-    const uint8_t *src = blockData(phys);
+    const uint8_t *src = blockData(physicalOf(pos));
 
     const uint64_t word0 = loadSharedWord(src);
     if (!Descriptor::validMagic(word0))
@@ -39,22 +38,19 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
     const Descriptor desc = Descriptor::unpack(word0);
 
     if (desc.type == EntryType::Skip) {
-        const uint64_t pos = loadSharedWord(src + 8);
-        if (pos >= window_start && pos < window_end) {
-            ++out.skippedBlocks;
-            return BlockReadStatus::Skipped;
-        }
-        return BlockReadStatus::Stale;
+        if (loadSharedWord(src + 8) != pos)
+            return BlockReadStatus::Stale;
+        ++out.skippedBlocks;
+        return BlockReadStatus::Skipped;
     }
     if (desc.type != EntryType::BlockHeader)
         return BlockReadStatus::Empty;  // interior bytes; not a block start
 
-    const uint64_t q = loadSharedWord(src + 8);
-    if (q < window_start || q >= window_end)
-        return BlockReadStatus::Stale;  // outside the last-N window
+    if (loadSharedWord(src + 8) != pos)
+        return BlockReadStatus::Stale;  // another lap's block, or none yet
 
-    const std::size_t meta_idx = q % numActive;
-    const auto rnd = static_cast<uint32_t>(q / numActive);
+    const std::size_t meta_idx = pos % numActive;
+    const auto rnd = static_cast<uint32_t>(pos / numActive);
     const MetadataBlock &m = meta[meta_idx];
 
     const RndPos conf = m.loadConfirmed();
@@ -119,9 +115,8 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
     // Re-validate: same header, and for current-round blocks the same
     // confirmation state (a change means writers touched the block
     // mid-copy).
-    const uint64_t word0b = loadSharedWord(src);
-    const uint64_t qb = loadSharedWord(src + 8);
-    bool valid = word0b == word0 && qb == q;
+    bool valid = loadSharedWord(src) == word0 &&
+                 loadSharedWord(src + 8) == pos;
     if (valid && conf.rnd == rnd) {
         const RndPos conf2 = m.loadConfirmed();
         valid = conf2 == conf ||
@@ -145,13 +140,14 @@ BTrace::readBlock(uint64_t phys, uint64_t window_start,
 Dump
 BTrace::dump()
 {
-    // Snapshot-peek over the whole retention window: a fresh cursor in
-    // readOpen mode reads every readable block (open ones included),
-    // closes nothing, and reports no loss accounting.
+    // A snapshot is the last pass of a fresh cursor: every readable
+    // block of the retention window, open ones included. What lies
+    // behind the window is retention churn, not loss, so it reports
+    // no overwritten positions.
     DumpCursor fresh;
-    DumpOptions opts;
-    opts.readOpen = true;
-    return dumpFrom(fresh, opts);
+    Dump out = dumpFrom(fresh, DumpOptions{.lastPass = true});
+    out.overwrittenPositions = 0;
+    return out;
 }
 
 void
@@ -166,142 +162,73 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
     const uint64_t window_end = g.pos;
     const uint64_t window_start = window_end > n ? window_end - n : 0;
 
-    // Snapshot-peek mode (closeActive wins when both are set): read
-    // open blocks in place from their start, keep walking past them,
-    // and suppress the loss accounting — a snapshot re-reads the same
-    // window later, so charging overwrittenPositions would misreport
-    // retention churn as data loss.
-    const bool peek = opts.readOpen && !opts.closeActive;
-
     // Catch up to the overwrite frontier (§4.3): positions the
     // producers already lapped are gone. Report how many, so the
     // caller sees the data loss instead of a silent cursor jump.
-    if (!peek && window_start > cursor.position)
+    if (window_start > cursor.position)
         out.overwrittenPositions = window_start - cursor.position;
 
-    // Whether to wait for the block at position p, when it cannot be
-    // read yet: only near the frontier, where an open lease or an
-    // advancement in flight completes soon, and only with a later
-    // pass to come. Farther back it is given up — one stuck block (a
-    // writer killed mid-write) must not be waited for until the
-    // producers lap it.
-    const auto waitAt = [&](uint64_t p) {
-        return !opts.lastPass && window_end - p <= 2 * numActive;
-    };
-
-    // Read the block at p from @p offset. Done: finished with it.
-    // Keep: read on from @p offset next pass. Stop: end the walk
-    // here, resume at p next pass.
-    enum class Next { Done, Keep, Stop };
+    // Read the block at p on from @p offset; true when a later pass
+    // must read it again, from the offset this read left.
     double close_cost = 0.0;
     const auto visit = [&](uint64_t p, std::size_t &offset) {
-        const std::size_t meta_idx = p % numActive;
-        const auto rnd = static_cast<uint32_t>(p / numActive);
-        const MetadataBlock &m = meta[meta_idx];
-        const RndPos conf = m.loadConfirmed();
-        bool unconfirmed = false;  // walked past with writes in flight
-        bool streamed = false;     // open block a streaming pass reads
-
-        if (conf.rnd == rnd && conf.pos < cap) {
-            // Current-round block, still being filled. With
-            // closeActive we shut it (§4.3 non-filled handling) so
-            // its contents can be returned now and producers move to
-            // a fresh block; a snapshot-peek reads it in place; a
-            // streaming pass reads its confirmed entries and comes
-            // back for the rest.
-            if (opts.closeActive) {
-                // Unconfirmed writes (an open lease, a preempted
-                // writer) or an advancement still initializing the
-                // block: stop here too while waitAt() allows. Past
-                // that the block is read if it has completed by now,
-                // and charged to unreadableBlocks if not.
-                const RndPos alloc = m.loadAllocated();
-                if (alloc.rnd == rnd && alloc.pos == conf.pos)
-                    closeRound(spareShard(), meta_idx, rnd, close_cost,
-                               BlockCloseReason::Consumer);
-                else if (waitAt(p))
-                    return Next::Stop;
-                else
-                    unconfirmed = true;
-            } else {
-                streamed = !peek;
-            }
-        } else if (conf.rnd < rnd) {
-            // Metadata has not reached this round: either an
-            // advancement in flight (worth waiting for near the
-            // frontier) or a permanently orphaned candidate. A
-            // snapshot never waits — it still reads the position (the
-            // physical block may hold a countable skip marker) and
-            // keeps walking.
-            if (!peek)
-                return waitAt(p) ? Next::Stop : Next::Done;
+        if (opts.closeActive) {
+            // Close-on-read (§4.3 non-filled handling): shut a
+            // current-round block whose reservations are all
+            // confirmed, so the read below takes it to its end and
+            // producers move on to a fresh block.
+            const std::size_t meta_idx = p % numActive;
+            const auto rnd = static_cast<uint32_t>(p / numActive);
+            const MetadataBlock &m = meta[meta_idx];
+            const RndPos conf = m.loadConfirmed();
+            if (conf.rnd == rnd && conf.pos < cap &&
+                m.loadAllocated() == conf)
+                closeRound(spareShard(), meta_idx, rnd, close_cost,
+                           BlockCloseReason::Consumer);
         }
 
-        const BlockReadStatus r =
-            readBlock(physicalOf(p), p, p + 1, offset, out);
+        const BlockReadStatus r = readBlock(p, offset, out);
         if (r == BlockReadStatus::Data)
-            return offset < cap && !peek ? Next::Keep : Next::Done;
+            return offset < cap;  // an open block: read on next pass
         if (r == BlockReadStatus::Skipped)
-            return Next::Done;
+            return false;
 
-        if (r == BlockReadStatus::Unreadable || unconfirmed) {
-            // Not flagged above: a writer reserved between that check
-            // and the close (or the metadata is corrupt), or a
-            // streamed block holds unconfirmed writes. The same rule
-            // as for a block found unconfirmed.
-            if (!unconfirmed && !peek && waitAt(p))
-                return opts.closeActive ? Next::Stop : Next::Keep;
-            ++out.unreadableBlocks;
-            return Next::Done;
-        }
-
-        if (peek) {
-            // Snapshot semantics: a vanished or invalidated block is
-            // a transient abandoned read, never charged as loss.
-            if (r == BlockReadStatus::Abandoned)
-                ++out.abandonedBlocks;
-            return Next::Done;
-        }
-
-        // The block for p yielded nothing (vanished header, header
-        // from another lap, or a parse invalidated mid-read). If the
-        // producers have lapped p by now — the head moved a full
-        // buffer past it while this dump was in flight — the data is
-        // permanently gone and belongs in overwrittenPositions, the
-        // same bucket as positions lost before the read started. A
-        // failed speculative read used to be misfiled as a transient
-        // abandonedBlocks (or dropped silently), hiding real data
-        // loss at the wrap boundary.
+        // The block yielded nothing: writes still unconfirmed, a
+        // header its advancement is still writing, a parse a writer's
+        // publish invalidated, or no block at all. If the producers
+        // have lapped p by now — the head moved a full buffer past it
+        // while this pass was in flight — the data is permanently
+        // gone, the same loss as positions lapped before the pass.
         const RatioPos now = RatioPos::unpack(
             global->load(std::memory_order_acquire));
         if (now.pos > p + numActive * now.ratio) {
             ++out.overwrittenPositions;
-            return Next::Done;
+            return false;
         }
-        // A streamed block whose parse a writer's publish invalidated,
-        // or whose header its advancement is still writing: read it
-        // again next pass, uncharged.
-        if (streamed && waitAt(p))
-            return Next::Keep;
-        if (r == BlockReadStatus::Abandoned)
+        // Near the frontier, with a later pass to come, read it again
+        // then, uncharged: an open lease or an advancement in flight
+        // completes soon. Farther back it is given up — one stuck
+        // block (a writer killed mid-write) must not be waited for
+        // until the producers lap it.
+        if (!opts.lastPass && window_end - p <= 2 * numActive)
+            return true;
+        if (r == BlockReadStatus::Unreadable)
+            ++out.unreadableBlocks;
+        else if (r == BlockReadStatus::Abandoned)
             ++out.abandonedBlocks;
-        return Next::Done;
+        return false;
     };
 
-    if (!peek) {
-        // Finish or extend the blocks earlier passes read in part,
-        // each from where its last read stopped. One the producers
-        // lapped meanwhile is one lost position: the position a
-        // cursor that waited at it would have charged.
-        std::size_t kept = 0;
-        for (DumpCursor::Partial b : cursor.partial) {
-            if (b.position < window_start)
-                ++out.overwrittenPositions;
-            else if (visit(b.position, b.offset) != Next::Done)
-                cursor.partial[kept++] = b;
-        }
-        cursor.partial.resize(kept);
+    // Read on the blocks earlier passes kept. One the producers lapped
+    // meanwhile is one lost position.
+    std::size_t kept = 0;
+    for (DumpCursor::Partial b : cursor.partial) {
+        if (b.position < window_start)
+            ++out.overwrittenPositions;
+        else if (visit(b.position, b.offset))
+            cursor.partial[kept++] = b;
     }
+    cursor.partial.resize(kept);
 
     // Positions below numActive are the synthetic round 0 that no
     // advancement ever hands out: nothing to read, and no loss either.
@@ -311,15 +238,11 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
                            uint64_t(numActive)});
     for (; q < window_end; ++q) {
         std::size_t offset = EntryLayout::blockHeaderBytes;
-        const Next next = visit(q, offset);
-        if (next == Next::Stop)
-            break;
-        if (next == Next::Keep)
+        if (visit(q, offset))
             cursor.partial.push_back({q, offset});
     }
-    if (!peek)
-        journalEmit(JournalEventKind::ConsumerPass,
-                    EventJournal::kNoCore, q, out.entries.size());
+    journalEmit(JournalEventKind::ConsumerPass, EventJournal::kNoCore, q,
+                out.entries.size());
     cursor.position = q;
 }
 

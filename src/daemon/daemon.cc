@@ -271,8 +271,8 @@ ConsumerDaemon::drainOnce()
             return errInvalidArgument("daemon already stopped");
         if (Status s = rotateIfNeeded(); !s.ok())
             return s;
-        if (Status s = drainLocked(DumpOptions{opt.closeActive, false},
-                                   fresh);
+        if (Status s = drainLocked(
+                DumpOptions{.closeActive = opt.closeActive}, fresh);
             !s.ok())
             return s;
         n = uint64_t(pass.entries.size());
@@ -336,10 +336,12 @@ ConsumerDaemon::stop()
         std::lock_guard<std::mutex> lock(mu);
         if (segFd < 0)
             return;
-        // Final close-active drain so the tail of every open block
-        // lands, then finalize the segment as cleanly closed. No pass
-        // follows, so it must not stop at a block a writer still holds.
-        (void)drainLocked(DumpOptions{true, false, true}, fresh);
+        // Final drain in the daemon's own mode, then finalize the
+        // segment as cleanly closed. No pass follows, so a block a
+        // writer still holds is charged, not kept.
+        (void)drainLocked(DumpOptions{.closeActive = opt.closeActive,
+                                      .lastPass = true},
+                          fresh);
         finalizeSegmentLocked();
         ::close(segFd);
         segFd = -1;

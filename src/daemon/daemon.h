@@ -172,10 +172,10 @@ class ConsumerDaemon
     void start();
 
     /**
-     * Stop the thread, run one final close-active drain so the tail
-     * of every open block is captured (blocks earlier streaming
-     * drains read in part are finished from where they stopped), and
-     * sync the segment. Idempotent; the destructor calls it.
+     * Stop the thread, run one final drain in the daemon's own mode
+     * (DumpOptions::lastPass: every confirmed entry lands, and a block
+     * a writer still holds is charged to unreadableBlocks), and sync
+     * the segment. Idempotent; the destructor calls it.
      */
     void stop();
 

@@ -91,9 +91,11 @@ struct Dump
     uint64_t skippedBlocks = 0;    //!< blocks lost to SKP markers
     uint64_t abandonedBlocks = 0;  //!< speculative reads that failed
     /**
-     * Blocks with unconfirmed in-flight writes. Snapshot reads count
-     * every one they meet; incremental reads (BTrace::dumpFrom) count
-     * only those walked past for good, which is data loss.
+     * Blocks given up with unconfirmed in-flight writes, which is data
+     * loss. BTrace::dumpFrom reads such a block again next pass while
+     * it lies within 2 x activeBlocks positions of the newest, and
+     * counts it only when it gives it up: farther back, or on a
+     * DumpOptions::lastPass (so a snapshot counts every one it meets).
      */
     uint64_t unreadableBlocks = 0;
     /**
@@ -120,10 +122,10 @@ struct Dump
 
 /**
  * Opaque incremental-read position for BTrace::dumpFrom(): the global
- * block position the next read starts at, plus the open blocks behind
- * it that earlier passes read in part. Value-initialize to start from
- * the beginning; reuse the same cursor across calls to receive only
- * new data.
+ * block position the next read starts at, plus the blocks behind it
+ * that earlier passes kept to read again. Value-initialize to start
+ * from the beginning; reuse the same cursor across calls to receive
+ * only new data.
  */
 struct DumpCursor
 {
@@ -136,45 +138,35 @@ struct DumpCursor
 
     uint64_t position = 0;  //!< next global block position to read
     /**
-     * Open blocks behind position read in part, oldest first: about
-     * one per writer's open block. Capacity is kept across passes.
+     * Blocks behind position to read again, oldest first: open blocks
+     * read in part (about one per writer) and blocks near the frontier
+     * that yielded nothing yet. Capacity is kept across passes.
      */
     std::vector<Partial> partial;
 };
 
 /**
- * Behavior switches for BTrace::dumpFrom(). The default (both off) is
- * the streaming read: every confirmed entry, open blocks' included,
+ * Behavior switches for BTrace::dumpFrom(). The default is the
+ * streaming read: every confirmed entry, open blocks' included,
  * without closing any block; an open block is read on from where the
- * previous pass stopped.
+ * previous pass stopped. Write them with designated initializers,
+ * e.g. DumpOptions{.closeActive = true, .lastPass = true}.
  */
 struct DumpOptions
 {
     /**
-     * Close partially filled blocks whose writes are all confirmed,
-     * then read them (§4.3 non-filled handling): producers move on to
-     * fresh blocks, at the cost of dummy-filling the closed blocks'
-     * free space. Blocks with unconfirmed in-flight writes are left
-     * alone, and the pass stops at the first one so a later pass
-     * resumes there — unless it lies far behind the newest block
-     * (BTrace: more than 2 x activeBlocks positions) or lastPass is
-     * set; then it is walked past and charged to
-     * Dump::unreadableBlocks.
+     * Close-on-read: before reading a partially filled block whose
+     * writes are all confirmed, close it (§4.3 non-filled handling),
+     * so producers move on to fresh blocks at the cost of
+     * dummy-filling the closed blocks' free space. Every other rule
+     * of the pass is the streaming read's.
      */
     bool closeActive = false;
     /**
-     * Snapshot-peek mode: read every readable block from its start,
-     * open ones included, remember nothing about them, and perform no
-     * loss accounting — this is what makes dump() a plain
-     * non-destructive snapshot. Mutually exclusive with closeActive
-     * (closeActive wins).
-     */
-    bool readOpen = false;
-    /**
-     * No later pass follows (a consumer's final drain at shutdown).
-     * The pass then waits for no block: every complete block after
-     * one still held by a writer is read too, and a block still held
-     * is charged to Dump::unreadableBlocks.
+     * No later pass follows (a consumer's final drain, a snapshot): a
+     * block that yields nothing is charged at once instead of kept to
+     * be read again — one still held by a writer to
+     * Dump::unreadableBlocks.
      */
     bool lastPass = false;
 };

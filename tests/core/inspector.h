@@ -104,18 +104,16 @@ class BTraceInspector
     }
 
     /**
-     * Direct call into the private speculative reader (regression
-     * surface for its bounds on torn metadata), from the block's
-     * first entry. Classifies Unreadable and Abandoned outcomes the
+     * Direct call into the private speculative reader of position
+     * @p pos's block (regression surface for its bounds on torn
+     * metadata), from the block's first entry. Classifies Unreadable and Abandoned outcomes the
      * way dump() does.
      */
     BlockReadStatus
-    readBlockRaw(uint64_t phys, uint64_t window_start,
-                 uint64_t window_end, Dump &out)
+    readBlockRaw(uint64_t pos, Dump &out)
     {
         std::size_t offset = EntryLayout::blockHeaderBytes;
-        const BlockReadStatus r =
-            bt.readBlock(phys, window_start, window_end, offset, out);
+        const BlockReadStatus r = bt.readBlock(pos, offset, out);
         if (r == BlockReadStatus::Unreadable)
             ++out.unreadableBlocks;
         if (r == BlockReadStatus::Abandoned)

@@ -98,7 +98,7 @@ TEST_P(FuzzCase, RandomOpSequenceKeepsInvariants)
         } else if (dice < 99) {
             check_dump(
                 bt.dumpFrom(cursor,
-                            DumpOptions{rng.chance(0.5), false}),
+                            DumpOptions{.closeActive = rng.chance(0.5)}),
                 true);
         } else if (held.empty()) {
             // Resize needs all writers quiescent (blocking op).

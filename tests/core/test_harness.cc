@@ -313,7 +313,7 @@ TEST(Harness, PrefixReadRacingAConfirmIsRetried)
 
 // A close-on-read pass that meets a block an advancer has locked but
 // not yet initialized (no header, Allocated still in the old round)
-// must stop there: walking past it as an empty position drops the
+// must come back to it: giving it up as an empty position drops the
 // entries written into the block once the advancer finishes.
 TEST(Harness, CloseOnReadWaitsForABlockStillBeingOpened)
 {
@@ -326,8 +326,7 @@ TEST(Harness, CloseOnReadWaitsForABlockStillBeingOpened)
     ASSERT_TRUE(inj.awaitParked(YieldPoint::AdvancePreReset));
 
     DumpCursor cursor;
-    DumpOptions opts;
-    opts.closeActive = true;
+    const DumpOptions opts{.closeActive = true};
     const Dump first = bt.dumpFrom(cursor, opts);
 
     inj.release(YieldPoint::AdvancePreReset);

@@ -605,8 +605,7 @@ TEST(LeaseStress, ConcurrentLeaseAndSingleWritersUnderRandomYields)
     std::atomic<bool> writing{true};
     std::thread consumer([&]() {
         DumpCursor cursor;
-        DumpOptions opts;
-        opts.closeActive = true;
+        const DumpOptions opts{.closeActive = true};
         while (writing.load(std::memory_order_acquire)) {
             (void)bt.dumpFrom(cursor, opts);
             std::this_thread::yield();
