@@ -142,7 +142,6 @@ Bbq::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 std::min<uint64_t>(need, cap - old.pos));
             writeDummy(blockData(blk_idx) + old.pos, claim);
             m.confirmed.fetch_add(claim, std::memory_order_acq_rel);
-            ticket.cost += costs.atomicShared + costs.copy(8);
         }
     }
 
@@ -199,7 +198,6 @@ Bbq::tryAdvanceHead(uint64_t head_pos, double &cost)
                    aw, RndPos::pack(next_rnd,
                                     EntryLayout::blockHeaderBytes),
                    std::memory_order_acq_rel, std::memory_order_acquire)) {
-            cost += costs.retryBackoff;
         }
         m.confirmed.fetch_add(EntryLayout::blockHeaderBytes,
                               std::memory_order_acq_rel);

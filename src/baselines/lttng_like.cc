@@ -77,7 +77,6 @@ LttngLike::allocate(uint16_t core, uint32_t thread, uint32_t payload_len)
                 ticket.cost += 2 * costs.atomicLocal;
                 return ticket;
             }
-            ticket.cost += costs.atomicLocal;
         }
         if (switched)
             continue;
@@ -112,10 +111,8 @@ LttngLike::trySwitch(CoreState &cs, uint64_t gen, double &cost)
         target.reserved.load(std::memory_order_acquire))
         return SwitchResult::WouldDrop;
 
-    if (cs.switchLock.test_and_set(std::memory_order_acquire)) {
-        cost += costs.retryBackoff;
+    if (cs.switchLock.test_and_set(std::memory_order_acquire))
         return SwitchResult::Switched;  // let the winner finish
-    }
 
     if (cs.curSeq.load(std::memory_order_acquire) == gen) {
         // Pad the tail of the current sub-buffer so it tiles.

@@ -4,55 +4,47 @@
 
 namespace btrace {
 
-namespace {
-
-/** Seqlock read of one page entry; false on a torn/mid-write slot. */
 bool
-readEntry(const ControlPageEntry &e, uint64_t want_version,
-          ControlConfig &out, uint64_t &applied_ns)
+readControlEntry(const ControlPageEntry &e, ControlPageRecord &out)
 {
+    // Acquire loads keep every field read ahead of the seq re-check
+    // (each pairs with writePage's release store of that field).
+    constexpr auto acq = std::memory_order_acquire;
     for (int attempt = 0; attempt < 3; ++attempt) {
-        const uint64_t s0 = e.seq.load(std::memory_order_acquire);
+        const uint64_t s0 = e.seq.load(acq);
         if (s0 == 0 || (s0 & 1))
             continue;  // never written, or writer mid-flight
-        ControlConfig c;
-        uint64_t version = e.version.load(std::memory_order_relaxed);
-        uint64_t applied = e.appliedNs.load(std::memory_order_relaxed);
-        c.sampleRate = controlFxToRate(
-            e.sampleRateFx.load(std::memory_order_relaxed));
+        ControlPageRecord r;
+        ControlConfig &c = r.cfg;
+        r.version = e.version.load(acq);
+        r.appliedNs = e.appliedNs.load(acq);
+        c.sampleRate = controlFxToRate(e.sampleRateFx.load(acq));
         for (std::size_t i = 0; i < kControlCategorySlots; ++i) {
-            const uint64_t fx =
-                e.categoryRateFx[i].load(std::memory_order_relaxed);
+            const uint64_t fx = e.categoryRateFx[i].load(acq);
             c.categoryRate[i] = fx == ControlPageEntry::kInheritRate
                                     ? -1.0
                                     : controlFxToRate(fx);
         }
-        c.firstK = static_cast<uint32_t>(
-            e.firstK.load(std::memory_order_relaxed));
-        c.intervalSec =
-            double(e.intervalNs.load(std::memory_order_relaxed)) / 1e9;
-        c.recordBudget = e.recordBudget.load(std::memory_order_relaxed);
-        c.ringMinBlocks = static_cast<std::size_t>(
-            e.ringMinBlocks.load(std::memory_order_relaxed));
-        c.ringMaxBlocks = static_cast<std::size_t>(
-            e.ringMaxBlocks.load(std::memory_order_relaxed));
-        const uint64_t flags = e.flags.load(std::memory_order_relaxed);
+        c.firstK = static_cast<uint32_t>(e.firstK.load(acq));
+        c.intervalSec = double(e.intervalNs.load(acq)) / 1e9;
+        c.recordBudget = e.recordBudget.load(acq);
+        c.ringMinBlocks =
+            static_cast<std::size_t>(e.ringMinBlocks.load(acq));
+        c.ringMaxBlocks =
+            static_cast<std::size_t>(e.ringMaxBlocks.load(acq));
+        const uint64_t flags = e.flags.load(acq);
         c.journalEnabled = (flags & ControlPageEntry::kJournalFlag) != 0;
         c.watchdogEnabled =
             (flags & ControlPageEntry::kWatchdogFlag) != 0;
-        std::atomic_thread_fence(std::memory_order_acquire);
         if (e.seq.load(std::memory_order_relaxed) != s0)
             continue;  // overwritten while reading
-        if (version != want_version)
-            return false;  // the slot was lapped by a newer publish
-        out = c;
-        applied_ns = applied;
+        if (s0 != 2 * r.version)
+            return false;  // damaged: no writer leaves this pair
+        out = r;
         return true;
     }
     return false;
 }
-
-} // namespace
 
 ControlPlane::ControlPlane(Tracer &tracer_,
                            const ControlGeometry &geometry,
@@ -73,12 +65,12 @@ ControlPlane::ControlPlane(Tracer &tracer_,
         // the newest entry is torn right now (poll() converges later).
         const uint64_t v =
             page->publishCount.load(std::memory_order_acquire);
-        ControlConfig c;
-        uint64_t applied = 0;
+        ControlPageRecord r;
         if (v > 0 &&
-            readEntry(page->entries[(v - 1) % kControlHistory], v, c,
-                      applied)) {
-            publish(c, v, /*write_page=*/false);
+            readControlEntry(page->entries[(v - 1) % kControlHistory],
+                             r) &&
+            r.version == v) {
+            publish(r.cfg, v, /*write_page=*/false);
             lastSeenPageVersion.store(v, std::memory_order_release);
             return;
         }
@@ -157,12 +149,11 @@ ControlPlane::poll()
     std::scoped_lock lock(mu);
     if (v <= lastSeenPageVersion.load(std::memory_order_relaxed))
         return false;  // another poller adopted it while we waited
-    ControlConfig c;
-    uint64_t applied = 0;
-    if (!readEntry(page->entries[(v - 1) % kControlHistory], v, c,
-                   applied))
+    ControlPageRecord r;
+    if (!readControlEntry(page->entries[(v - 1) % kControlHistory], r) ||
+        r.version != v)
         return false;  // mid-write or lapped; converge on a later poll
-    publish(c, v, /*write_page=*/false);
+    publish(r.cfg, v, /*write_page=*/false);
     lastSeenPageVersion.store(v, std::memory_order_release);
     return true;
 }
@@ -219,31 +210,30 @@ ControlPlane::writePage(const ControlSnapshot &s)
     ControlPageEntry &e =
         page->entries[(s.version - 1) % kControlHistory];
     // Seqlock write: odd while mutating, then publish 2 * version.
-    e.seq.store(2 * s.version - 1, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
-    e.version.store(s.version, std::memory_order_relaxed);
-    e.appliedNs.store(s.appliedNs, std::memory_order_relaxed);
-    e.sampleRateFx.store(controlRateToFx(s.cfg.sampleRate),
-                         std::memory_order_relaxed);
+    // Each field store releases the odd seq before it, so a reader
+    // that sees a new field also sees the slot is being rewritten.
+    constexpr auto rel = std::memory_order_release;
+    e.seq.store(2 * s.version - 1, rel);
+    e.version.store(s.version, rel);
+    e.appliedNs.store(s.appliedNs, rel);
+    e.sampleRateFx.store(controlRateToFx(s.cfg.sampleRate), rel);
     for (std::size_t i = 0; i < kControlCategorySlots; ++i)
         e.categoryRateFx[i].store(
             s.cfg.categoryRate[i] < 0.0
                 ? ControlPageEntry::kInheritRate
                 : controlRateToFx(s.cfg.categoryRate[i]),
-            std::memory_order_relaxed);
-    e.firstK.store(s.cfg.firstK, std::memory_order_relaxed);
-    e.intervalNs.store(s.intervalNs, std::memory_order_relaxed);
-    e.recordBudget.store(s.cfg.recordBudget, std::memory_order_relaxed);
-    e.ringMinBlocks.store(s.cfg.ringMinBlocks,
-                          std::memory_order_relaxed);
-    e.ringMaxBlocks.store(s.cfg.ringMaxBlocks,
-                          std::memory_order_relaxed);
+            rel);
+    e.firstK.store(s.cfg.firstK, rel);
+    e.intervalNs.store(s.intervalNs, rel);
+    e.recordBudget.store(s.cfg.recordBudget, rel);
+    e.ringMinBlocks.store(s.cfg.ringMinBlocks, rel);
+    e.ringMaxBlocks.store(s.cfg.ringMaxBlocks, rel);
     e.flags.store(
         (s.cfg.journalEnabled ? ControlPageEntry::kJournalFlag : 0) |
             (s.cfg.watchdogEnabled ? ControlPageEntry::kWatchdogFlag
                                    : 0),
-        std::memory_order_relaxed);
-    e.seq.store(2 * s.version, std::memory_order_release);
+        rel);
+    e.seq.store(2 * s.version, rel);
 }
 
 } // namespace btrace

@@ -45,6 +45,23 @@
 
 namespace btrace {
 
+/** One control-page history slot, copied out torn-free. */
+struct ControlPageRecord
+{
+    uint64_t version = 0;    //!< the publish that wrote the slot
+    uint64_t appliedNs = 0;  //!< monotonic time of that apply
+    ControlConfig cfg;
+};
+
+/**
+ * Seqlock read of one control-page history slot (the discipline in
+ * core/arena_control.h). False for a never-written slot, one a writer
+ * kept busy through three tries, or a damaged one whose seq is not
+ * 2 x version. A caller that wants one version compares it: a slot is
+ * reused every kControlHistory publishes.
+ */
+bool readControlEntry(const ControlPageEntry &e, ControlPageRecord &out);
+
 /** Geometry the plane validates ring bounds against. */
 struct ControlGeometry
 {

@@ -58,11 +58,15 @@ Governor::evaluate(const GovernorInput &in)
         // fidelity second — only throttle once the ring is maxed.
         idleStreak = 0;
         calmStreak = 0;
-        if (in.numBlocks < hi) {
+        // A grow refused as Busy in this episode set a lower ceiling:
+        // throttle instead of asking again.
+        const std::size_t ceiling =
+            busyCeiling != 0 ? std::min(hi, busyCeiling) : hi;
+        if (in.numBlocks < ceiling) {
             const std::size_t target = alignTarget(
                 std::max(in.numBlocks * opts.growFactor,
                          in.numBlocks + a),
-                a, lo, hi);
+                a, lo, ceiling);
             if (target > in.numBlocks)
                 out.push_back({GovernorAction::GrowRing, target,
                                "loss pressure: grow ring"});
@@ -79,7 +83,9 @@ Governor::evaluate(const GovernorInput &in)
         return out;
     }
 
-    // Pressure-free interval.
+    // Pressure-free interval: the episode is over, and a later one
+    // tries the grow again.
+    busyCeiling = 0;
     if (preThrottleRate >= 0.0 && ++calmStreak >= opts.restoreIntervals) {
         out.push_back({GovernorAction::RestoreSampling,
                        controlRateToFx(preThrottleRate),
@@ -123,6 +129,9 @@ Governor::actuate(BTrace &bt,
                     ++tally.shrinks;
             } else {
                 ++tally.failedResizes;
+                if (d.action == GovernorAction::GrowRing &&
+                    st.code() == StatusCode::Busy)
+                    busyCeiling = bt.numBlocks();
             }
             break;
         }

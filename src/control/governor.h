@@ -19,7 +19,9 @@
  *  1. loss pressure (overwritten positions, i.e. the consumer was
  *     lapped) -> GrowRing toward ringMaxBlocks;
  *  2. loss pressure at the ceiling -> ThrottleSampling stepwise down
- *     to throttleFloor ("throttle before dropping");
+ *     to throttleFloor ("throttle before dropping"). A grow that
+ *     tryResize refused as Busy (another attachment is live) makes
+ *     the current size the ceiling until pressure clears;
  *  3. pressure-free intervals while throttled -> RestoreSampling back
  *     to the pre-throttle rate;
  *  4. sustained low occupancy -> ShrinkRing toward ringMinBlocks.
@@ -145,6 +147,11 @@ class Governor
     unsigned calmStreak = 0;
     /** Rate to restore once pressure clears; < 0 = not throttled. */
     double preThrottleRate = -1.0;
+    /**
+     * Ring size at which a grow came back Busy this pressure episode
+     * (0 = none): the ceiling until a pressure-free interval.
+     */
+    std::size_t busyCeiling = 0;
 
     /** Last-seen gauge values for the metrics plane. */
     double lastSampleRate = 1.0;

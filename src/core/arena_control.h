@@ -161,8 +161,10 @@ constexpr std::size_t kLeaseOwnerSlots = 256;
  * seqlock discipline: the writer (who claimed this entry's version
  * via ControlPage::publishCount) bumps seq to odd, release-stores the
  * fields, then release-stores seq = 2 * version. A reader that sees
- * an even seq, copies, and re-reads the same seq has a torn-free
- * entry; anything else means a writer was mid-flight — retry or skip.
+ * an even seq, copies with acquire loads, and re-reads the same seq
+ * has a torn-free entry; anything else means a writer was mid-flight
+ * — retry or skip. readControlEntry (control/control_plane.h) is the
+ * one reader.
  */
 struct ControlPageEntry
 {

@@ -463,7 +463,6 @@ BTrace::claim(uint16_t core, uint32_t need, uint32_t want, double &cost)
             m.confirmed.fetch_add(fill, std::memory_order_acq_rel);
             sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
             sc.dummyBytes.fetch_add(fill, std::memory_order_relaxed);
-            cost += costs.atomicLocal + costs.copy(8);
         }
 
         // If no other thread of this core has installed a fresh block
@@ -722,17 +721,16 @@ BTrace::giveBackTail(const LeaseView &v)
                              v.handle.slot;
         const RatioPos now = RatioPos::unpack(
             coreLocal[v.core]->load(std::memory_order_seq_cst));
-        double unread = 0.0;  // close-side cost: replay never reads it
         if (now.pos != pos)
-            closeRound(sc, v.handle.slot, claim.rnd, unread,
+            closeRound(sc, v.handle.slot, claim.rnd,
                        BlockCloseReason::Graveyard);
     }
     return true;
 }
 
-void
+bool
 BTrace::closeRound(BTraceCounters &sc, std::size_t meta_idx, uint32_t rnd,
-                   double &cost, BlockCloseReason reason)
+                   BlockCloseReason reason)
 {
     MetadataBlock &m = meta[meta_idx];
     for (;;) {
@@ -741,17 +739,15 @@ BTrace::closeRound(BTraceCounters &sc, std::size_t meta_idx, uint32_t rnd,
         uint64_t aw = m.allocated.load(std::memory_order_seq_cst);
         const RndPos a = RndPos::unpack(aw);
         if (a.rnd != rnd || a.pos >= cap)
-            return;  // moved on, or nothing left to claim
+            return false;  // moved on, or nothing left to claim
         // Critical window: a concurrent reservation or a competing
         // closer can move Allocated between the load and this claim.
         BTRACE_TEST_YIELD(ClosePreClaim);
         sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         if (!m.allocated.compare_exchange_weak(
                 aw, RndPos::pack(rnd, uint32_t(cap)),
-                std::memory_order_acq_rel, std::memory_order_relaxed)) {
-            cost += costs.retryBackoff;
+                std::memory_order_acq_rel, std::memory_order_relaxed))
             continue;
-        }
         // We claimed [a.pos, cap): fill with one dummy entry, confirm.
         const auto gap = static_cast<uint32_t>(cap - a.pos);
         const uint64_t pos = uint64_t(rnd) * numActive + meta_idx;
@@ -760,10 +756,9 @@ BTrace::closeRound(BTraceCounters &sc, std::size_t meta_idx, uint32_t rnd,
         sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
         sc.closes.fetch_add(1, std::memory_order_relaxed);
         sc.dummyBytes.fetch_add(gap, std::memory_order_relaxed);
-        cost += costs.atomicShared * 2 + costs.copy(8);
         journalEmit(JournalEventKind::BlockClose, EventJournal::kNoCore,
                     pos, uint64_t(reason));
-        return;
+        return true;
     }
 }
 
@@ -803,8 +798,9 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
             // Previous round still incomplete: close the lagging block
             // (§3.2), then re-check; if a preempted writer still holds
             // unconfirmed space, sacrifice the candidate (§3.4).
-            closeRound(sc, meta_idx, conf.rnd, cost,
-                       BlockCloseReason::Straggler);
+            if (closeRound(sc, meta_idx, conf.rnd,
+                           BlockCloseReason::Straggler))
+                cost += costs.atomicShared * 2 + costs.copy(8);
             cw = m.confirmed.load(std::memory_order_acquire);
             conf = RndPos::unpack(cw);
             if (conf.rnd < cand_rnd && conf.pos != cap) {
@@ -834,7 +830,6 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
                 cw, RndPos::pack(cand_rnd, 0),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
             sc.lockRaces.fetch_add(1, std::memory_order_relaxed);
-            cost += costs.retryBackoff;
             continue;
         }
 
@@ -860,10 +855,8 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         while (!m.allocated.compare_exchange_weak(
                    aw, RndPos::pack(cand_rnd,
                                     EntryLayout::blockHeaderBytes),
-                   std::memory_order_acq_rel, std::memory_order_acquire)) {
+                   std::memory_order_acq_rel, std::memory_order_acquire))
             sc.sharedRmws.fetch_add(1, std::memory_order_relaxed);
-            cost += costs.retryBackoff;
-        }
 
         // Step 7: confirm the header bytes.
         m.confirmed.fetch_add(EntryLayout::blockHeaderBytes,
@@ -885,8 +878,7 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
             // Another thread on this core already installed a block;
             // release ours by closing it and use theirs (§4.2, end).
             sc.coreRaces.fetch_add(1, std::memory_order_relaxed);
-            closeRound(sc, meta_idx, cand_rnd, cost,
-                       BlockCloseReason::Graveyard);
+            closeRound(sc, meta_idx, cand_rnd, BlockCloseReason::Graveyard);
             return AdvanceResult::LostRace;
         }
 
@@ -904,8 +896,9 @@ BTrace::tryAdvance(uint16_t core, uint64_t local_word, double &cost)
         // close it. With nothing handed back this is one load of a
         // line we just touched.
         const uint64_t prev = RatioPos::unpack(local_word).pos;
-        closeRound(sc, prev % numActive, checkedRound(prev, numActive),
-                   cost, BlockCloseReason::Graveyard);
+        if (closeRound(sc, prev % numActive, checkedRound(prev, numActive),
+                       BlockCloseReason::Graveyard))
+            cost += costs.atomicShared * 2 + costs.copy(8);
 
         sc.advances.fetch_add(1, std::memory_order_relaxed);
         return AdvanceResult::Advanced;

@@ -510,10 +510,10 @@ class BTrace final : public Tracer
      * (§3.2). No-op if the metadata has moved past @p rnd or the block
      * is already fully allocated. @p reason is journaled with the
      * BlockClose event when the close actually lands. Counts into
-     * @p sc, the caller's shard.
+     * @p sc, the caller's shard. True when this call's close landed.
      */
-    void closeRound(BTraceCounters &sc, std::size_t meta_idx,
-                    uint32_t rnd, double &cost, BlockCloseReason reason);
+    bool closeRound(BTraceCounters &sc, std::size_t meta_idx,
+                    uint32_t rnd, BlockCloseReason reason);
 
     /**
      * The single relaxed enabled check of the journal plane: one

@@ -170,7 +170,6 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
 
     // Read the block at p on from @p offset; true when a later pass
     // must read it again, from the offset this read left.
-    double close_cost = 0.0;
     const auto visit = [&](uint64_t p, std::size_t &offset) {
         if (opts.closeActive) {
             // Close-on-read (§4.3 non-filled handling): shut a
@@ -183,7 +182,7 @@ BTrace::dumpFrom(DumpCursor &cursor, const DumpOptions &opts, Dump &out)
             const RndPos conf = m.loadConfirmed();
             if (conf.rnd == rnd && conf.pos < cap &&
                 m.loadAllocated() == conf)
-                closeRound(spareShard(), meta_idx, rnd, close_cost,
+                closeRound(spareShard(), meta_idx, rnd,
                            BlockCloseReason::Consumer);
         }
 

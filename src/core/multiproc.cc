@@ -326,9 +326,7 @@ BTrace::sweepDeadOwners()
                    span_len);
         meta[slot].confirmed.fetch_add(span_len,
                                        std::memory_order_acq_rel);
-        double cost = 0.0;
-        closeRound(spareShard(), slot, rnd, cost,
-                   BlockCloseReason::Graveyard);
+        closeRound(spareShard(), slot, rnd, BlockCloseReason::Graveyard);
         r.state.store(LeaseOwnerRecord::Free,
                       std::memory_order_release);
 

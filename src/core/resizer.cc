@@ -109,14 +109,12 @@ BTrace::resize(std::size_t new_num_blocks)
     // path, which is parked — so no new activity can appear.
     journalEmit(JournalEventKind::ReclaimStart, EventJournal::kNoCore,
                 g.pos, old_n);
-    double cost = 0.0;
     for (std::size_t m = 0; m < numActive; ++m) {
         for (;;) {
             const RndPos conf = meta[m].loadConfirmed();
             if (conf.pos == cap)
                 break;
-            closeRound(spareShard(), m, conf.rnd, cost,
-                       BlockCloseReason::Resize);
+            closeRound(spareShard(), m, conf.rnd, BlockCloseReason::Resize);
             if (meta[m].loadConfirmed().pos == cap)
                 break;
             std::this_thread::yield();  // a preempted writer owes bytes

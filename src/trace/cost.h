@@ -45,19 +45,6 @@ struct CostModel
     double copy(std::size_t bytes) const { return perByte * double(bytes); }
 
     /**
-     * Per-entry cost of serving from an @p n entry lease: the open
-     * and close RMWs (one reserve, one publish) amortized across the
-     * batch, plus the bump-pointer arithmetic each entry pays. With
-     * n == 1 this degenerates to the two-RMW single-entry fast path.
-     */
-    double
-    amortizedClaim(std::size_t n) const
-    {
-        const double rmw = 2.0 * atomicLocal;
-        return n ? rmw / double(n) + leaseBump : rmw + leaseBump;
-    }
-
-    /**
      * Contention charge for an RMW on a shared line with @p contenders
      * other writers in flight (capped to keep the model bounded).
      */

@@ -777,6 +777,53 @@ TEST(Governor, GovernorLive)
     bt.attachJournal(nullptr);
 }
 
+// A grow that tryResize refuses as Busy (a second attachment is live)
+// is the ceiling for the rest of the pressure episode: the governor
+// throttles instead of proposing the same grow every interval, and
+// tries the grow again only after a pressure-free interval.
+TEST(Governor, BusyGrowThrottlesInstead)
+{
+    BTraceConfig cfg = smallConfig();
+    cfg.storage = StorageKind::Shm;
+    cfg.maxBlocks = 2 * cfg.numBlocks;
+    auto owner_e = Session::create(cfg);
+    ASSERT_TRUE(owner_e.ok()) << owner_e.status().toString();
+    Session owner = std::move(owner_e.value());
+    auto peer_e = Session::attachFd(owner.shareFd());
+    ASSERT_TRUE(peer_e.ok()) << peer_e.status().toString();
+    BTrace &bt = owner.tracer();
+
+    Governor gov;
+    const auto govern = [&](uint64_t overwritten_delta) {
+        GovernorInput in;
+        in.overwrittenDelta = overwritten_delta;
+        in.recordedDelta = 100;
+        in.occupancy = 1.0;
+        in.numBlocks = bt.numBlocks();
+        in.activeBlocks = bt.config().activeBlocks;
+        in.ringMaxBlocks = cfg.maxBlocks;
+        in.sampleRate = bt.controlPlane().current().sampleRate;
+        gov.actuate(bt, gov.evaluate(in));
+    };
+
+    // K = 4 pressure intervals keep the rate above the floor
+    // (1 -> 0.5 -> 0.25 -> 0.125).
+    constexpr unsigned kIntervals = 4;
+    for (unsigned k = 0; k < kIntervals; ++k)
+        govern(50);
+    EXPECT_EQ(gov.tallies().failedResizes, 1u);
+    EXPECT_EQ(gov.tallies().throttles, kIntervals - 1);
+    EXPECT_EQ(bt.numBlocks(), cfg.numBlocks);
+    EXPECT_DOUBLE_EQ(bt.controlPlane().current().sampleRate, 0.125);
+
+    // A pressure-free interval ends the episode; the next one asks
+    // for the grow again.
+    govern(0);
+    govern(50);
+    EXPECT_EQ(gov.tallies().failedResizes, 2u);
+    EXPECT_EQ(gov.tallies().throttles, kIntervals - 1);
+}
+
 TEST(Governor, ActuationRefusalIsTalliedNotFatal)
 {
     Governor gov;

@@ -29,19 +29,6 @@ TEST(CostModel, ContentionMonotonicAndCapped)
     EXPECT_DOUBLE_EQ(m.contention(16), m.contention(1000));
 }
 
-TEST(CostModel, AmortizedClaimSpreadsTheTwoRmws)
-{
-    const CostModel &m = CostModel::def();
-    // n == 1 degenerates to the two-RMW single-entry fast path plus
-    // the bump arithmetic.
-    EXPECT_DOUBLE_EQ(m.amortizedClaim(1),
-                     2.0 * m.atomicLocal + m.leaseBump);
-    // Larger batches approach the pure bump cost monotonically.
-    EXPECT_LT(m.amortizedClaim(8), m.amortizedClaim(1));
-    EXPECT_LT(m.amortizedClaim(64), m.amortizedClaim(8));
-    EXPECT_GT(m.amortizedClaim(1 << 20), m.leaseBump);
-}
-
 TEST(CostModel, RelativeOrderMatchesDesignExpectations)
 {
     // The model must preserve the cost ordering the paper's results

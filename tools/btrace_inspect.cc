@@ -56,7 +56,7 @@
 
 #include "analysis/export.h"
 #include "common/storage_backend.h"
-#include "control/snapshot.h"
+#include "control/control_plane.h"
 #include "core/arena_control.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
@@ -532,58 +532,6 @@ inspectArena(const std::string &path)
     return 0;
 }
 
-/** One control-page entry, copied out torn-free. */
-struct DecodedControl
-{
-    uint64_t version = 0;
-    uint64_t appliedNs = 0;
-    uint64_t sampleRateFx = 0;
-    uint64_t categoryRateFx[kControlCategorySlots] = {};
-    uint64_t firstK = 0;
-    uint64_t intervalNs = 0;
-    uint64_t recordBudget = 0;
-    uint64_t ringMinBlocks = 0;
-    uint64_t ringMaxBlocks = 0;
-    uint64_t flags = 0;
-};
-
-/**
- * Seqlock read of one history slot. False for never-written, torn, or
- * lapped entries (the same discipline control_plane.cc uses online).
- */
-bool
-readControlEntry(const ControlPageEntry &e, DecodedControl &out)
-{
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        const uint64_t s0 = e.seq.load(std::memory_order_acquire);
-        if (s0 == 0 || (s0 & 1) != 0)
-            continue;  // never written, or a writer is mid-flight
-        DecodedControl d;
-        d.version = e.version.load(std::memory_order_relaxed);
-        d.appliedNs = e.appliedNs.load(std::memory_order_relaxed);
-        d.sampleRateFx = e.sampleRateFx.load(std::memory_order_relaxed);
-        for (std::size_t i = 0; i < kControlCategorySlots; ++i)
-            d.categoryRateFx[i] =
-                e.categoryRateFx[i].load(std::memory_order_relaxed);
-        d.firstK = e.firstK.load(std::memory_order_relaxed);
-        d.intervalNs = e.intervalNs.load(std::memory_order_relaxed);
-        d.recordBudget = e.recordBudget.load(std::memory_order_relaxed);
-        d.ringMinBlocks =
-            e.ringMinBlocks.load(std::memory_order_relaxed);
-        d.ringMaxBlocks =
-            e.ringMaxBlocks.load(std::memory_order_relaxed);
-        d.flags = e.flags.load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (e.seq.load(std::memory_order_acquire) != s0)
-            continue;
-        if (s0 != 2 * d.version)
-            return false;  // slot lapped by a newer publish
-        out = d;
-        return true;
-    }
-    return false;
-}
-
 /** Decode the arena's control page: active + historical snapshots. */
 int
 inspectControl(const std::string &path)
@@ -634,14 +582,14 @@ inspectControl(const std::string &path)
         return 0;
     }
 
-    std::vector<DecodedControl> history;
+    std::vector<ControlPageRecord> history;
     for (std::size_t i = 0; i < kControlHistory; ++i) {
-        DecodedControl d;
-        if (readControlEntry(page->entries[i], d))
-            history.push_back(d);
+        ControlPageRecord r;
+        if (readControlEntry(page->entries[i], r))
+            history.push_back(r);
     }
     std::sort(history.begin(), history.end(),
-              [](const DecodedControl &a, const DecodedControl &b) {
+              [](const ControlPageRecord &a, const ControlPageRecord &b) {
                   return a.version < b.version;
               });
     if (published > kControlHistory)
@@ -651,39 +599,32 @@ inspectControl(const std::string &path)
                     static_cast<unsigned long long>(
                         published - kControlHistory));
 
-    for (const DecodedControl &d : history) {
-        const bool active = d.version == published;
+    for (const ControlPageRecord &r : history) {
+        const ControlConfig &c = r.cfg;
+        const bool active = r.version == published;
         std::printf("\nsnapshot v%llu%s\n",
-                    static_cast<unsigned long long>(d.version),
+                    static_cast<unsigned long long>(r.version),
                     active ? "  (active)" : "");
         std::printf("  applied          %.3f s (monotonic)\n",
-                    double(d.appliedNs) / 1e9);
-        std::printf("  sample rate      %.6f\n",
-                    controlFxToRate(d.sampleRateFx));
-        for (std::size_t c = 0; c < kControlCategorySlots; ++c)
-            if (d.categoryRateFx[c] != ControlPageEntry::kInheritRate)
-                std::printf("  category %-2zu rate %.6f\n", c,
-                            controlFxToRate(d.categoryRateFx[c]));
-        if (d.firstK != 0)
-            std::printf("  first-K          %llu per %.3f s\n",
-                        static_cast<unsigned long long>(d.firstK),
-                        double(d.intervalNs) / 1e9);
-        if (d.recordBudget != 0)
+                    double(r.appliedNs) / 1e9);
+        std::printf("  sample rate      %.6f\n", c.sampleRate);
+        for (std::size_t i = 0; i < kControlCategorySlots; ++i)
+            if (c.categoryRate[i] >= 0.0)
+                std::printf("  category %-2zu rate %.6f\n", i,
+                            c.categoryRate[i]);
+        if (c.firstK != 0)
+            std::printf("  first-K          %u per %.3f s\n", c.firstK,
+                        c.intervalSec);
+        if (c.recordBudget != 0)
             std::printf("  record budget    %llu per %.3f s\n",
-                        static_cast<unsigned long long>(d.recordBudget),
-                        double(d.intervalNs) / 1e9);
-        if (d.ringMinBlocks != 0 || d.ringMaxBlocks != 0)
-            std::printf("  ring bounds      [%llu, %llu] blocks\n",
-                        static_cast<unsigned long long>(
-                            d.ringMinBlocks),
-                        static_cast<unsigned long long>(
-                            d.ringMaxBlocks));
+                        static_cast<unsigned long long>(c.recordBudget),
+                        c.intervalSec);
+        if (c.ringMinBlocks != 0 || c.ringMaxBlocks != 0)
+            std::printf("  ring bounds      [%zu, %zu] blocks\n",
+                        c.ringMinBlocks, c.ringMaxBlocks);
         std::printf("  journal %s, watchdog %s\n",
-                    (d.flags & ControlPageEntry::kJournalFlag) ? "on"
-                                                               : "off",
-                    (d.flags & ControlPageEntry::kWatchdogFlag)
-                        ? "on"
-                        : "off");
+                    c.journalEnabled ? "on" : "off",
+                    c.watchdogEnabled ? "on" : "off");
     }
     return 0;
 }
